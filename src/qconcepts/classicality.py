@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ModelError
+from .errors import ModelError, check_unit_interval
 
 # slack for comparisons against zero; the weights are survey frequencies,
 # so ties at the boundary are common and must not flip on rounding noise
@@ -53,9 +53,7 @@ class MembershipTriple:
     def __post_init__(self):
         if self.connective not in CONNECTIVES:
             raise ModelError(f"connective must be one of {CONNECTIVES}, got {self.connective!r}")
-        for name, v in (("muA", self.mu_a), ("muB", self.mu_b), ("muJoint", self.mu_joint)):
-            if not (0.0 <= v <= 1.0):
-                raise ModelError(f"{name} must lie in [0, 1], got {v!r}")
+        check_unit_interval((("muA", self.mu_a), ("muB", self.mu_b), ("muJoint", self.mu_joint)))
 
 
 @dataclass(frozen=True)

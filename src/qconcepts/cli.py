@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -49,21 +48,12 @@ def _deg_json(radians) -> float:
 
 def _out_dir(args) -> str:
     out = args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ModelError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from None
+    return out
 
 
 def _dumps(obj) -> str:
@@ -77,8 +67,11 @@ def _digest(data: bytes) -> str:
 def _input_digests(args) -> dict:
     if getattr(args, "dataset", None):
         return {args.dataset: _digest(datasets.dataset_file_bytes(args.dataset))}
-    with open(args.input, "rb") as fh:
-        return {str(args.input): _digest(fh.read())}
+    try:
+        with open(args.input, "rb") as fh:
+            return {str(args.input): _digest(fh.read())}
+    except OSError as exc:
+        raise DataError(f"cannot read {args.input}: {exc.strerror or exc}") from None
 
 
 def _manifest(argv, args, parameters, outputs) -> dict:
@@ -140,7 +133,7 @@ def _cmd_classicality(args, argv) -> int:
 
     out = _out_dir(args)
     json_name, csv_name = "classicality.json", "classicality.csv"
-    _atomic_write(os.path.join(out, json_name), _dumps(records) + "\n")
+    wavefield.atomic_write(os.path.join(out, json_name), (_dumps(records) + "\n").encode())
     header = "exemplar,conceptA,conceptB,muA,muB,muJoint,connective,delta,k,f,classical,extension_class"
     lines = [header]
     for rec in records:
@@ -150,14 +143,15 @@ def _cmd_classicality(args, argv) -> int:
             rec["connective"], repr(rec["delta"]), repr(rec["k"]), repr(rec["f"]),
             "true" if rec["classical"] else "false", rec["extension_class"],
         ]))
-    _atomic_write(os.path.join(out, csv_name), "\n".join(lines) + "\n")
+    wavefield.atomic_write(os.path.join(out, csv_name), ("\n".join(lines) + "\n").encode())
     manifest = _manifest(argv, args, {
         "dataset": getattr(args, "dataset", None),
         "input": str(args.input) if getattr(args, "input", None) else None,
         "slack": classicality.ZERO_SLACK,
         "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
     }, [json_name, csv_name])
-    _atomic_write(os.path.join(out, "classicality_manifest.json"), _dumps(manifest) + "\n")
+    wavefield.atomic_write(os.path.join(out, "classicality_manifest.json"),
+                           (_dumps(manifest) + "\n").encode())
 
     n_classical = sum(1 for r in records if r["classical"])
     by_class = {}
@@ -393,7 +387,8 @@ def _cmd_wavefield(args, argv) -> int:
         "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
     }
     manifest = _manifest(argv, args, parameters, outputs)
-    _atomic_write(os.path.join(out, "wavefield_manifest.json"), _dumps(manifest) + "\n")
+    wavefield.atomic_write(os.path.join(out, "wavefield_manifest.json"),
+                           (_dumps(manifest) + "\n").encode())
 
     human = [
         f"fitted widths: sigma_A = {_sig(config.sigma_ax)} (circular),"
@@ -513,11 +508,6 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(_dumps(_error_payload(exc)), file=sys.stderr)
         return 1
-
-
-def run(argv) -> int:
-    """Programmatic entry point mirroring the console script."""
-    return main(list(argv))
 
 
 if __name__ == "__main__":

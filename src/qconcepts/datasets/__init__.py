@@ -91,6 +91,8 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_membership_csv(text, source="<membership csv>"):

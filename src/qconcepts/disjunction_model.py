@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NoInterferenceSolution
-from .hilbert import Projector, SpectralFamily, born_probability, inner_product
-
-COS_CLAMP_SLACK = 1e-6
+from .errors import ModelError, check_unit_interval
+from .hilbert import Projector, SpectralFamily, arccos_clamped, born_probability, inner_product
 
 # the weight columns come from choose-one experiments, so each should sum
 # to ~1; printed tables carry rounding residue up to a few parts in 10^3
@@ -46,10 +44,9 @@ class ExemplarRow:
     phi_deg: float | None = None    # signed interference angle, if supplied
 
     def __post_init__(self):
-        for label, v in (("muA", self.mu_a), ("muB", self.mu_b), ("muAorB", self.mu_a_or_b)):
-            if not (0.0 <= v <= 1.0):
-                raise ModelError(f"{self.name}: {label} must lie in [0, 1], got {v!r}")
-        if self.phi_deg is not None and abs(self.phi_deg) > 180.0:
+        check_unit_interval((("muA", self.mu_a), ("muB", self.mu_b), ("muAorB", self.mu_a_or_b)),
+                            prefix=f"{self.name}: ")
+        if self.phi_deg is not None and not (abs(self.phi_deg) <= 180.0):
             raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees")
 
 
@@ -59,15 +56,9 @@ def phase_magnitude(row: ExemplarRow, c_k: float = 1.0) -> float:
         raise ModelError(f"{row.name}: phase undefined for zero membership weight")
     if c_k <= 0.0:
         raise ModelError(f"{row.name}: normalization constant must be positive")
-    arg = (2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (
-        2.0 * c_k * np.sqrt(row.mu_a * row.mu_b)
-    )
-    if abs(arg) > 1.0 + COS_CLAMP_SLACK:
-        raise NoInterferenceSolution(
-            f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})",
-            argument=float(arg),
-        )
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
+    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b)
+                / (2.0 * c_k * np.sqrt(row.mu_a * row.mu_b)))
+    return arccos_clamped(arg, f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})")
 
 
 def assign_phase_signs(magnitudes, weights):
@@ -82,30 +73,25 @@ def assign_phase_signs(magnitudes, weights):
     w = np.asarray(weights, dtype=float)
     if mags.shape != w.shape:
         raise ModelError("magnitudes and weights must have equal length")
-    order = sorted(range(w.size), key=lambda i: (-w[i], i))
-    signs = np.ones(w.size)
-    running = 0.0
-    for i in order:
-        term = w[i] * np.sin(mags[i])
-        if abs(running + term) <= abs(running - term):
-            signs[i] = 1.0
-        else:
-            signs[i] = -1.0
-        running += signs[i] * term
-    # single-flip descent to a fixed point
-    def residual(s):
-        return abs(float(np.sum(w * np.sin(s * mags))))
+    terms = (w * np.sin(mags)).tolist()     # each row's imaginary part at sign +1
+    signs = [1.0] * w.size
+    total = 0.0
+    for i in np.argsort(-w, kind="stable").tolist():
+        signs[i] = 1.0 if abs(total + terms[i]) <= abs(total - terms[i]) else -1.0
+        total += signs[i] * terms[i]
+    # single-flip descent to a fixed point on the same running sum: flipping
+    # row i moves it by -2 s_i t_i, so each pass is O(n)
     improved = True
     while improved:
         improved = False
         for i in range(w.size):
-            cur = residual(signs)
-            signs[i] = -signs[i]
-            if residual(signs) + 1e-18 < cur:
-                improved = True
-            else:
+            flipped = total - 2.0 * signs[i] * terms[i]
+            if abs(flipped) + 1e-18 < abs(total):
                 signs[i] = -signs[i]
-    return signs, residual(signs)
+                total = flipped
+                improved = True
+    signs = np.array(signs)
+    return signs, abs(float(np.sum(w * np.sin(signs * mags))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +106,7 @@ class DisjunctionModel:
     phases: np.ndarray              # signed radians actually used
     sign_source: str                # "supplied" or "search"
     sign_residual: float            # |sum w sin(phi)| for the used signs
+    superposed: np.ndarray          # the normalized midpoint (|A> + |B>)/||.||
 
     @property
     def dim(self) -> int:
@@ -180,24 +167,23 @@ def build_model(rows, c=None) -> DisjunctionModel:
         if dev > NORM_DEVIATION_TOL:
             raise ModelError(f"vector {label} norm off by {dev!r}")
 
-    projs = [Projector(basis_indices=(k,), dim=n + 1) for k in range(n)]
-    projs.append(Projector(basis_indices=(n,), dim=n + 1))
-    family = SpectralFamily(tuple(projs), n + 1)
+    family = SpectralFamily(
+        tuple(Projector(basis_indices=(k,), dim=n + 1) for k in range(n + 1)), n + 1)
+    sup = vector_a + vector_b
     return DisjunctionModel(rows, vector_a, vector_b, family, tuple(c), phases,
-                            source, sign_residual)
+                            source, sign_residual, sup / np.linalg.norm(sup))
 
 
 def superposition(model: DisjunctionModel) -> np.ndarray:
     """The normalized midpoint state (|A> + |B>)/||.||."""
-    sup = model.vector_a + model.vector_b
-    return sup / np.linalg.norm(sup)
+    return model.superposed
 
 
 def predict_disjunction(model: DisjunctionModel, k: int) -> float:
     """Born weight of the normalized superposition at exemplar k (1-based)."""
     if not (1 <= k <= len(model.rows)):
         raise ModelError(f"exemplar index {k} out of range 1..{len(model.rows)}")
-    return born_probability(superposition(model), model.family.projectors[k - 1])
+    return born_probability(model.superposed, model.family.projectors[k - 1])
 
 
 def orthogonality_residual(model: DisjunctionModel) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class CoincidenceTable:
         if len(self.outcome_names) != 4:
             raise ModelError("outcome_names must hold exactly 4 labels")
         probs = (self.p11, self.p12, self.p21, self.p22)
+        if not all(math.isfinite(p) for p in probs):
+            raise ModelError(f"{self.label}: probabilities must be finite")
         if any(p < 0 for p in probs):
             raise ModelError(f"{self.label}: probabilities must be non-negative")
         if any(p > 1 for p in probs):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one [0, 1] weight check."""
 from __future__ import annotations
 
 
@@ -41,3 +41,14 @@ class DataError(ModelError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def check_unit_interval(pairs, prefix: str = ""):
+    """Raise ModelError unless every (label, value) pair lies in [0, 1].
+
+    NaN fails the check too. ``prefix`` leads the message, e.g. an exemplar
+    name.
+    """
+    for label, value in pairs:
+        if not (0.0 <= value <= 1.0):
+            raise ModelError(f"{prefix}{label} must lie in [0, 1], got {value!r}")

@@ -16,16 +16,14 @@ Angles are radians internally; degrees appear only at I/O boundaries.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionInapplicable, ModelError, NoInterferenceSolution
-from .hilbert import Projector, StateVector
-
-# slack for clamping an arccos argument that is numerically just outside [-1, 1]
-COS_CLAMP_SLACK = 1e-6
+from .errors import ConstructionInapplicable, ModelError, check_unit_interval
+from .hilbert import Projector, StateVector, arccos_clamped
 
 
 @dataclass(frozen=True)
@@ -37,6 +35,8 @@ class FockWeights:
     tol: float = 1e-12
 
     def __post_init__(self):
+        if not (math.isfinite(self.m_sq) and math.isfinite(self.n_sq)):
+            raise ModelError(f"sector weights must be finite, got {self.m_sq!r}, {self.n_sq!r}")
         if self.m_sq < 0 or self.n_sq < 0:
             raise ModelError("sector weights must be non-negative")
         if abs(self.m_sq + self.n_sq - 1.0) > self.tol:
@@ -56,19 +56,13 @@ class InterferenceSolution:
     projector: Projector | None = None
 
 
-def _check_weight(name, v):
-    if not (0.0 <= v <= 1.0):
-        raise ModelError(f"{name} must lie in [0, 1], got {v!r}")
-
-
 def _sector1(mu_a, mu_b, beta):
     return (mu_a + mu_b) / 2.0 + np.sqrt((1.0 - mu_a) * (1.0 - mu_b)) * np.cos(beta)
 
 
 def fock_conjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights) -> float:
     """Predicted conjunction weight; warns (non-fatally) if outside [0, 1]."""
-    _check_weight("muA", mu_a)
-    _check_weight("muB", mu_b)
+    check_unit_interval((("muA", mu_a), ("muB", mu_b)))
     value = weights.m_sq * mu_a * mu_b + weights.n_sq * _sector1(mu_a, mu_b, beta)
     if not (0.0 <= value <= 1.0):
         warnings.warn(f"conjunction prediction outside [0, 1]: {value!r}", stacklevel=2)
@@ -77,8 +71,7 @@ def fock_conjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights
 
 def fock_disjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights) -> float:
     """Predicted disjunction weight; warns (non-fatally) if outside [0, 1]."""
-    _check_weight("muA", mu_a)
-    _check_weight("muB", mu_b)
+    check_unit_interval((("muA", mu_a), ("muB", mu_b)))
     sector2 = mu_a + mu_b - mu_a * mu_b
     value = weights.m_sq * sector2 + weights.n_sq * _sector1(mu_a, mu_b, beta)
     if not (0.0 <= value <= 1.0):
@@ -87,9 +80,7 @@ def fock_disjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights
 
 
 def _extract_angle(mu_a, mu_b, mu_joint, weights, sector2):
-    _check_weight("muA", mu_a)
-    _check_weight("muB", mu_b)
-    _check_weight("muJoint", mu_joint)
+    check_unit_interval((("muA", mu_a), ("muB", mu_b), ("muJoint", mu_joint)))
     if weights.n_sq <= 0.0:
         raise ModelError("angle extraction needs a nonzero single-sector weight")
     if mu_a >= 1.0 or mu_b >= 1.0:
@@ -99,12 +90,8 @@ def _extract_angle(mu_a, mu_b, mu_joint, weights, sector2):
     amp = np.sqrt((1.0 - mu_a) * (1.0 - mu_b))
     arg = float(((mu_joint - weights.m_sq * sector2) / weights.n_sq * 2.0 - mu_a - mu_b)
                 / (2.0 * amp))
-    if abs(arg) > 1.0 + COS_CLAMP_SLACK:
-        raise NoInterferenceSolution(
-            f"no interference solution: cos beta = {arg!r} lies outside [-1, 1]",
-            argument=float(arg),
-        )
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
+    return arccos_clamped(
+        arg, f"no interference solution: cos beta = {arg!r} lies outside [-1, 1]")
 
 
 def interference_angle_conjunction(mu_a: float, mu_b: float, mu_joint: float,
@@ -129,8 +116,7 @@ def build_c3_vectors(mu_a: float, mu_b: float, beta: float):
     Requires muA > 0 and muA + muB >= 1 so that |B>'s components are real.
     Returns (vector_a, vector_b, projector).
     """
-    _check_weight("muA", mu_a)
-    _check_weight("muB", mu_b)
+    check_unit_interval((("muA", mu_a), ("muB", mu_b)))
     if mu_a <= 0.0 or mu_a + mu_b < 1.0:
         raise ConstructionInapplicable(
             "C3 construction inapplicable: requires muA > 0 and muA + muB >= 1 "

@@ -1,9 +1,9 @@
 """Finite-dimensional complex Hilbert space primitives.
 
 State vectors, projectors, spectral families, Born probabilities, collapse,
-tensor products, and a two-sector (single + pair) composition used by the
-interference models. Everything is dense numpy; the dimensions in play stay
-well below the point where sparsity would pay off.
+tensor products, and the clamped cosine inversion that turns a Born
+relation into an interference angle. Everything is dense numpy; the
+dimensions in play stay well below the point where sparsity would pay off.
 
 Two default tolerances are used throughout: a structural tolerance (1e-9)
 for normalization, idempotence and completeness checks, and a tighter
@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollapseImpossible, DimensionMismatch, ModelError
+from .errors import CollapseImpossible, DimensionMismatch, ModelError, NoInterferenceSolution
 
 STRUCTURAL_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-12
+# slack for clamping an arccos argument that is numerically just outside [-1, 1]
+COS_CLAMP_SLACK = 1e-6
 
 
 def _as_complex_array(components) -> np.ndarray:
@@ -143,41 +145,12 @@ class SpectralFamily:
             if p.dim != self.dim:
                 raise DimensionMismatch("spectral family members disagree on dim")
 
-    def __len__(self):
-        return len(self.projectors)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     orthogonality_violations: tuple   # ((i, j, max_abs_entry), ...)
     completeness_defect: float
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Two-sector state: a single vector (dim d) plus a pair vector (dim d^2).
-
-    n and m are the sector weights (n^2 + m^2 = 1); gamma and delta the
-    sector phases, kept in radians.
-    """
-
-    sector1: StateVector
-    sector2: StateVector
-    n: float
-    m: float
-    gamma: float = 0.0
-    delta: float = 0.0
-    tol: float = STRUCTURAL_TOL
-
-    def __post_init__(self):
-        d = self.sector1.dim
-        if self.sector2.dim != d * d:
-            raise DimensionMismatch(
-                f"sector 2 must have dim {d * d}, got {self.sector2.dim}"
-            )
-        if abs(self.n ** 2 + self.m ** 2 - 1.0) > self.tol:
-            raise ModelError("sector weights must satisfy n^2 + m^2 = 1")
 
 
 def inner_product(a, b) -> complex:
@@ -244,40 +217,12 @@ def validate_spectral_family(family: SpectralFamily, tol: float = STRUCTURAL_TOL
     return ValidationReport(ok, tuple(violations), defect)
 
 
-def fock_compose(sector1: StateVector, sector2: StateVector, n: float, m: float,
-                 gamma: float = 0.0, delta: float = 0.0) -> FockState:
-    return FockState(sector1, sector2, float(n), float(m), float(gamma), float(delta))
+def arccos_clamped(arg: float, message: str) -> float:
+    """Angle in [0, pi] whose cosine is ``arg``, clamping rounding overshoot.
 
-
-# ---------------------------------------------------------------------------
-# JSON-friendly serialization: components as [re, im] pairs, diagonal
-# projectors as basis index lists.
-
-def state_to_dict(state: StateVector) -> dict:
-    return {
-        "dim": state.dim,
-        "components": [[float(c.real), float(c.imag)] for c in state.components],
-    }
-
-
-def state_from_dict(d: dict, normalized: bool = True) -> StateVector:
-    comps = np.array([complex(re, im) for re, im in d["components"]])
-    if len(comps) != d["dim"]:
-        raise ModelError(f"dim field {d['dim']} != component count {len(comps)}")
-    return StateVector(comps, normalized=normalized)
-
-
-def projector_to_dict(p: Projector) -> dict:
-    if p.is_diagonal:
-        return {"dim": p.dim, "basis_indices": list(p.basis_indices)}
-    return {
-        "dim": p.dim,
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in p.matrix],
-    }
-
-
-def projector_from_dict(d: dict) -> Projector:
-    if "basis_indices" in d:
-        return Projector(basis_indices=d["basis_indices"], dim=d["dim"])
-    m = np.array([[complex(re, im) for re, im in row] for row in d["matrix"]])
-    return Projector(matrix=m)
+    An argument beyond 1 + COS_CLAMP_SLACK in magnitude has no angle: that
+    raises NoInterferenceSolution with ``message``, carrying the argument.
+    """
+    if abs(arg) > 1.0 + COS_CLAMP_SLACK:
+        raise NoInterferenceSolution(message, argument=float(arg))
+    return float(np.arccos(np.clip(arg, -1.0, 1.0)))

@@ -30,7 +30,7 @@ import enum
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,13 +281,7 @@ def default_config(rows, center_b=(10.0, 4.0)) -> WaveFieldConfig:
         sigma_bx=float(sigma_bx), sigma_by=float(sigma_by),
         center_b=(float(center_b[0]), float(center_b[1])),
     )
-    positions = place_exemplars(rows, config)
-    return WaveFieldConfig(
-        amplitude_a=config.amplitude_a, amplitude_b=config.amplitude_b,
-        sigma_ax=config.sigma_ax, sigma_ay=config.sigma_ay,
-        sigma_bx=config.sigma_bx, sigma_by=config.sigma_by,
-        center_b=config.center_b, positions=positions,
-    )
+    return replace(config, positions=place_exemplars(rows, config))
 
 
 def lowest_monomials(n):
@@ -413,16 +407,23 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
     }
 
 
-def _atomic_write(path, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-grid-")
+def atomic_write(path, data: bytes):
+    """Write bytes to a temp file beside ``path``, then rename it into place.
+
+    An OSError becomes a ModelError naming the path; no temp file is left.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-out-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ModelError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -442,7 +443,7 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
             row = pattern.values[iy]
             for ix in range(pattern.nx):
                 lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{row[ix]:.9g}")
-        _atomic_write(path, ("\n".join(lines) + "\n").encode())
+        atomic_write(path, ("\n".join(lines) + "\n").encode())
         return [path]
     if fmt == "pgm":
         vmin = float(pattern.values.min())
@@ -452,7 +453,7 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
         else:
             norm = np.zeros_like(pattern.values)
         header = f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode()
-        _atomic_write(path, header + norm.astype(">u2").tobytes())
+        atomic_write(path, header + norm.astype(">u2").tobytes())
         sidecar = path + ".json"
         meta = {
             "kind": pattern.kind.value,
@@ -464,6 +465,6 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
             "rows": "ascending y",
             "clamp_count": pattern.clamp_count,
         }
-        _atomic_write(sidecar, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
+        atomic_write(sidecar, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
         return [path, sidecar]
     raise ModelError(f"unknown export format {fmt!r}")

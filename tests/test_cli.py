@@ -297,3 +297,56 @@ def test_missing_input_file_is_a_data_error(run_cli, tmp_path):
     info = json.loads(err)["error"]
     assert info["type"] == "DataError"
     assert "cannot read" in info["message"]
+
+
+def test_out_dir_naming_a_file_is_a_model_error(run_cli, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    code, out, err = run_cli("classicality", "--dataset", "hampton-table3",
+                             "--out-dir", blocker, "--json")
+    assert code == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "ModelError"
+    assert str(blocker) in info["message"] and "File exists" in info["message"]
+
+
+def test_unwritable_output_is_a_model_error_and_leaves_no_temp_file(run_cli, tmp_path):
+    # a directory squatting on the report's name makes the final rename fail
+    (tmp_path / "classicality.json").mkdir()
+    code, out, err = run_cli("classicality", "--dataset", "hampton-table3",
+                             "--out-dir", tmp_path, "--json")
+    assert code == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "ModelError"
+    assert "cannot write" in info["message"] and "classicality.json" in info["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classicality.json"]
+
+
+def test_non_utf8_input_is_a_data_error(run_cli, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(MEMBERSHIP_CSV.replace("Mint", "Mint\xff").encode("latin-1"))
+    code, out, err = run_cli("classicality", "--input", path, "--out-dir", tmp_path,
+                             "--json")
+    assert code == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "DataError"
+    assert "UTF-8" in info["message"] and str(path) in info["message"]
+
+
+def test_fock_nan_weight_is_rejected_not_printed(run_cli):
+    code, out, err = run_cli("fock", "--mu-a", 0.87, "--mu-b", 0.81, "--mu-joint", 0.9,
+                             "--connective", "and", "--m2", "nan", "--json")
+    assert code == 1 and out == ""
+    assert "finite" in json.loads(err)["error"]["message"]
+
+
+def test_exemplar_nan_phase_is_rejected_not_printed(run_cli, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("index,name,muA,muB,muAorB,phi_deg\n"
+                    "1,Almond,0.0359,0.0133,0.0269,83.8854\n"
+                    "2,Acorn,0.0425,0.0108,0.0249,nan\n")
+    code, out, err = run_cli("disjunction-model", "--input", path, "--json")
+    assert code == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "DataError" and info["line"] == 3
+    assert "phi" in info["message"]

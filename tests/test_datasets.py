@@ -11,6 +11,7 @@ from qconcepts.datasets import (
     dataset_ids,
     list_datasets,
     load_dataset,
+    load_membership_csv,
     parse_coincidence_csv,
     parse_exemplar_csv,
     parse_membership_csv,
@@ -155,6 +156,20 @@ def test_parse_exemplar_phi_optional_all_or_none():
     broken = with_phi.rsplit(",-87.6039", 1)[0] + "\n"
     with pytest.raises(DataError, match="expected 6 fields"):
         parse_exemplar_csv(broken)
+
+
+def test_parse_exemplar_rejects_nan_phase():
+    text = "index,name,muA,muB,muAorB,phi_deg\n1,Almond,0.0359,0.0133,0.0269,nan\n"
+    with pytest.raises(DataError, match="phi") as exc_info:
+        parse_exemplar_csv(text)
+    assert exc_info.value.line == 2
+
+
+def test_load_rejects_undecodable_bytes_with_a_data_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(MEMBERSHIP_TEXT.encode() + b"Bad\xff,Food,Plant,0.5,0.5,0.5,and\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_membership_csv(path)
 
 
 def test_parse_exemplar_index_must_be_integer():

@@ -29,6 +29,10 @@ def test_row_weight_bounds_checked():
         ExemplarRow(1, "X", 0.2, 1.3, 0.4)
     with pytest.raises(ModelError, match="phi"):
         ExemplarRow(1, "X", 0.2, 0.3, 0.4, phi_deg=200.0)
+    with pytest.raises(ModelError, match="phi"):
+        ExemplarRow(1, "X", 0.2, 0.3, 0.4, phi_deg=float("nan"))
+    with pytest.raises(ModelError, match="X: muAorB must lie in"):
+        ExemplarRow(1, "X", 0.2, 0.3, float("nan"))
 
 
 def test_phase_magnitude_matches_printed_angles(table2_rows):
@@ -74,6 +78,87 @@ def test_sign_assignment_single_row():
     assert residual == pytest.approx(0.2 * np.sin(0.5), abs=1e-15)
     with pytest.raises(ModelError):
         assign_phase_signs([0.5, 0.5], [0.2])
+
+
+# two trial residuals closer than this count as a tie: far above the rounding
+# of a full re-sum, far below any real difference between sign choices
+TIE_BAND = 1e-12
+
+
+def _quadratic_sign_search(magnitudes, weights):
+    """The sign search as first written: every trial flip re-sums all n rows.
+
+    Also reports whether any trial flip met a tie, where the choice follows
+    the rounding of the re-sum rather than the data.
+    """
+    mags = np.asarray(magnitudes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = sorted(range(w.size), key=lambda i: (-w[i], i))
+    signs = np.ones(w.size)
+    running = 0.0
+    for i in order:
+        term = w[i] * np.sin(mags[i])
+        if abs(running + term) <= abs(running - term):
+            signs[i] = 1.0
+        else:
+            signs[i] = -1.0
+        running += signs[i] * term
+
+    def residual(s):
+        return abs(float(np.sum(w * np.sin(s * mags))))
+    tied = False
+    improved = True
+    while improved:
+        improved = False
+        for i in range(w.size):
+            cur = residual(signs)
+            signs[i] = -signs[i]
+            trial = residual(signs)
+            tied = tied or abs(trial - cur) <= TIE_BAND
+            if trial + 1e-18 < cur:
+                improved = True
+            else:
+                signs[i] = -signs[i]
+    return signs, residual(signs), tied
+
+
+def _choose_one_columns(rng, n):
+    """Weights and phase magnitudes shaped like a synthetic choose-one table."""
+    mu_a = rng.dirichlet(np.ones(n))
+    mu_b = rng.dirichlet(np.ones(n))
+    return rng.uniform(0.0, np.pi, n), np.sqrt(mu_a * mu_b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sign_search_matches_the_quadratic_search_at_3000_rows(seed):
+    mags, w = _choose_one_columns(np.random.default_rng(seed), 3000)
+    signs, residual = assign_phase_signs(mags, w)
+    want_signs, want_residual, tied = _quadratic_sign_search(mags, w)
+    assert not tied
+    assert np.array_equal(signs, want_signs)
+    assert residual == want_residual
+
+
+def test_sign_search_matches_the_quadratic_search_on_duplicated_rounded_rows():
+    # Duplicates of rounded rows cancel exactly, so a later flip can leave
+    # |sum| unchanged. At such a tie the two searches may keep different but
+    # equally good signs; everywhere else they must agree bit for bit.
+    rng = np.random.default_rng(20240813)
+    untied = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 14))
+        mags, w = _choose_one_columns(rng, n)
+        mags, w = np.round(mags, 2), np.round(w, 2)
+        dup = rng.integers(n, size=int(rng.integers(0, n + 1)))
+        mags, w = np.append(mags, mags[dup]), np.append(w, w[dup])
+        signs, residual = assign_phase_signs(mags, w)
+        want_signs, want_residual, tied = _quadratic_sign_search(mags, w)
+        assert residual == pytest.approx(want_residual, abs=TIE_BAND)
+        if not tied:
+            untied += 1
+            assert np.array_equal(signs, want_signs)
+            assert residual == want_residual
+    assert untied >= 200
 
 
 def test_build_model_with_supplied_signs_pins(table2_rows):
@@ -130,6 +215,18 @@ def test_born_weights_sum_to_one_over_family(table2_rows):
     total = sum(born_probability(sup, p) for p in model.family.projectors)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert len(model.family.projectors) == 25
+
+
+@pytest.mark.parametrize("strip_phases", [False, True])
+def test_prediction_is_the_born_weight_of_the_fresh_superposition(table2_rows, strip_phases):
+    rows = table2_rows
+    if strip_phases:
+        rows = [ExemplarRow(r.index, r.name, r.mu_a, r.mu_b, r.mu_a_or_b) for r in rows]
+    model = build_model(rows)
+    fresh = model.vector_a + model.vector_b
+    fresh = fresh / np.linalg.norm(fresh)
+    for k, proj in enumerate(model.family.projectors[:-1], start=1):
+        assert predict_disjunction(model, k) == born_probability(fresh, proj)
 
 
 def test_predict_index_bounds(table2_rows):

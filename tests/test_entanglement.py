@@ -40,6 +40,14 @@ def test_table_rejects_negative_entries():
         CoincidenceTable("AB", -0.1, 0.5, 0.3, 0.3)
 
 
+def test_table_rejects_non_finite_entries():
+    # NaN slips past every ordering comparison, so it needs its own check
+    with pytest.raises(ModelError, match="finite"):
+        CoincidenceTable("AB", float("nan"), 0.5, 0.3, 0.2)
+    with pytest.raises(ModelError, match="finite"):
+        coincidence_from_values("AB", (float("inf"), 2.0, 3.0, 4.0))
+
+
 def test_table_rejects_entries_above_one():
     with pytest.raises(ModelError, match="normalize counts"):
         CoincidenceTable("AB", 1.2, 0.0, 0.0, 0.0)

@@ -26,6 +26,10 @@ def test_weights_must_be_a_convex_pair():
         FockWeights(-0.1, 1.1)
     with pytest.raises(ModelError):
         FockWeights(0.3, 0.6)
+    with pytest.raises(ModelError, match="finite"):
+        FockWeights(float("nan"), float("nan"))
+    with pytest.raises(ModelError, match="finite"):
+        FockWeights(float("inf"), 0.0)
 
 
 def test_conjunction_angle_pin_and_round_trip():

@@ -6,19 +6,13 @@ import pytest
 
 from qconcepts.errors import CollapseImpossible, DimensionMismatch, ModelError
 from qconcepts.hilbert import (
-    FockState,
     Projector,
     SpectralFamily,
     StateVector,
     born_probability,
     collapse,
-    fock_compose,
     inner_product,
-    projector_from_dict,
-    projector_to_dict,
     schmidt_rank,
-    state_from_dict,
-    state_to_dict,
     tensor_product,
     validate_spectral_family,
 )
@@ -259,48 +253,3 @@ def test_born_over_family_sums_to_one():
         s = random_state(dim)
         total = sum(born_probability(s, p) for p in outcome_family(dim).projectors)
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-# ------------------------------------------------------------------- Fock state
-
-def test_fock_state_requires_weight_normalization():
-    s1 = StateVector([1.0, 0.0])
-    s2 = StateVector([1, 0, 0, 0], normalized=False)
-    with pytest.raises(ModelError):
-        FockState(s1, s2, n=0.9, m=0.9, gamma=0.0, delta=0.0)
-
-
-def test_fock_state_requires_square_sector2():
-    s1 = StateVector([1.0, 0.0])
-    bad = StateVector([1, 0, 0], normalized=False)
-    with pytest.raises(ModelError):
-        FockState(s1, bad, n=1.0, m=0.0, gamma=0.0, delta=0.0)
-
-
-def test_fock_compose_builds_weighted_state():
-    s1 = StateVector([1.0, 0.0])
-    s2 = StateVector(np.array([1, 0, 0, 0], dtype=complex))
-    f = fock_compose(s1, s2, n=np.sqrt(0.7), m=np.sqrt(0.3), gamma=0.0, delta=0.0)
-    assert f.n ** 2 + f.m ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert f.sector1.dim == 2 and f.sector2.dim == 4
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_state_serialization_round_trip():
-    s = random_state(5)
-    d = state_to_dict(s)
-    assert d["dim"] == 5 and len(d["components"]) == 5
-    back = state_from_dict(d)
-    assert np.array_equal(back.components, s.components)
-
-
-def test_projector_serialization_round_trip_diagonal_and_dense():
-    p = Projector(basis_indices=(1, 3), dim=4)
-    back = projector_from_dict(projector_to_dict(p))
-    assert back.is_diagonal and back.basis_indices == (1, 3)
-
-    v = np.array([1.0, 1j]) / np.sqrt(2)
-    dense = Projector(matrix=np.outer(v, v.conj()))
-    back = projector_from_dict(projector_to_dict(dense))
-    assert np.allclose(back.matrix, dense.matrix, atol=1e-15)
