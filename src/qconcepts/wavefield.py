@@ -31,6 +31,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class PhasePolynomial:
         y = np.asarray(y, dtype=float)
         total = np.zeros(np.broadcast(x, y).shape)
         for mx, my, coef in self.terms:
-            total = total + coef * x ** mx * y ** my
+            total += coef * x ** mx * y ** my
         return total if total.shape else float(total)
 
 
@@ -234,16 +235,18 @@ def _fit_widths(rows, center_b):
     u_max = lb[ia] / a ** 2
     others = [k for k in range(len(rows)) if k not in (ia, ib)]
     t = np.linspace(0.0, 2.0 * np.pi, _CURVE_SAMPLES, endpoint=False)
+    # along each remaining row's A-curve g = u * p_sq + v * q_sq; only u, v vary
+    r_o, lb_o = r_a[others, None], lb[others]
+    p_sq = (r_o * np.cos(t) - a) ** 2
+    q_sq = (r_o * np.sin(t) - b) ** 2
 
     def worst_margin(u):
         v = (lb[ia] - a ** 2 * u) / b ** 2
         if v <= 0.0:
             return -np.inf
-        worst = np.inf
-        for k in others:
-            g = u * (r_a[k] * np.cos(t) - a) ** 2 + v * (r_a[k] * np.sin(t) - b) ** 2
-            worst = min(worst, lb[k] - g.min(), g.max() - lb[k])
-        return worst
+        g = u * p_sq + v * q_sq
+        return min(np.min(lb_o - g.min(axis=1), initial=np.inf),
+                   np.min(g.max(axis=1) - lb_o, initial=np.inf))
 
     grid = [u_max * (i + 0.5) / _SCAN_POINTS for i in range(_SCAN_POINTS)]
     margins = [worst_margin(u) for u in grid]
@@ -390,7 +393,9 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
             raise ModelError("raster extent does not cover all exemplar positions")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    x, y = np.meshgrid(xs, ys)
+    # sparse axes: x-only and y-only terms cost nx or ny operations, and
+    # broadcasting builds the (ny, nx) grid with the same per-pixel arithmetic
+    x, y = np.meshgrid(xs, ys, sparse=True)
     i_a, i_b = _intensity_fields(config, x, y)
     classical = 0.5 * (i_a + i_b)
     raw = classical + np.sqrt(i_a * i_b) * _cos_phase(phase.evaluate(x, y))
@@ -410,7 +415,9 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
 def atomic_write(path, data: bytes):
     """Write bytes to a temp file beside ``path``, then rename it into place.
 
-    An OSError becomes a ModelError naming the path; no temp file is left.
+    The file gets mode 0o666 less the process umask, as ``open()`` would
+    give it. An OSError becomes a ModelError naming the path; no temp file
+    is left.
     """
     tmp = None
     try:
@@ -418,6 +425,10 @@ def atomic_write(path, data: bytes):
                                    prefix=".tmp-out-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates 0o600; the umask can only be read by setting it
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -438,11 +449,10 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
     xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
     ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
     if fmt == "csv":
+        xcol = [f"{x:.9g}," for x in xs.tolist()]
         lines = ["x,y,value"]
-        for iy in range(pattern.ny):
-            row = pattern.values[iy]
-            for ix in range(pattern.nx):
-                lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{row[ix]:.9g}")
+        for y, row in zip(ys.tolist(), pattern.values):
+            lines.extend(map("{}{}{:.9g}".format, xcol, repeat(f"{y:.9g},"), row.tolist()))
         atomic_write(path, ("\n".join(lines) + "\n").encode())
         return [path]
     if fmt == "pgm":

@@ -269,6 +269,23 @@ def test_wavefield_rerun_is_byte_identical(run_cli_json, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_artifacts_honour_the_umask(run_cli_json, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli_json("classicality", "--dataset", "hampton-table3",
+                                  "--out-dir", tmp_path)
+        assert code == 0
+        code, _, _ = run_cli_json("wavefield", "--dataset", "fruits-vegetables-table2",
+                                  "--grid", "16x16", "--out-dir", tmp_path)
+        assert code == 0
+    finally:
+        os.umask(old)
+    for name in ("classicality.json", "classicality_manifest.json",
+                 "wavefield_superposed.pgm", "wavefield_superposed.pgm.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
 def test_out_dir_env_fallback_and_flag_precedence(run_cli_json, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     flag_dir = tmp_path / "from-flag"

@@ -1,6 +1,7 @@
 """Wavefield construction: width fit, placement, phase surface, rasters, export."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,10 +11,17 @@ from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
+    DEFAULT_EXTENT,
+    MARGIN_FLOOR,
+    _CURVE_SAMPLES,
+    _SCAN_POINTS,
     GridKind,
     PhasePolynomial,
     WaveFieldConfig,
     _cos_phase,
+    _fit_widths,
+    _intensity_fields,
+    _log_ratios,
     default_config,
     evaluate_at,
     evaluate_patterns,
@@ -145,6 +153,84 @@ def test_width_fit_requires_distinct_peaks_and_offset_center():
     ]
     with pytest.raises(PlacementError, match="off both coordinate axes"):
         default_config(rows, center_b=(10.0, 0.0))
+    # no row besides the two peaks: every scanned u keeps an infinite margin,
+    # so the bisection runs up to u_max = lb[ia] / a^2
+    fit = _fit_widths(rows, (10.0, 4.0))
+    assert fit == _fit_widths_loop(rows, (10.0, 4.0))
+    u_max = np.log(0.25 / 0.10) / 10.0 ** 2
+    assert fit[1] == pytest.approx(1.0 / np.sqrt(2.0 * u_max), rel=1e-12)
+
+
+def _fit_widths_loop(rows, center_b):
+    """Reference width fit: every margin recomputes each row's curve from t."""
+    mu_a = np.array([r.mu_a for r in rows])
+    mu_b = np.array([r.mu_b for r in rows])
+    ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
+    a, b = float(center_b[0]), float(center_b[1])
+    d = np.hypot(a, b)
+    la = _log_ratios(float(mu_a[ia]), mu_a, "muA")
+    lb = _log_ratios(float(mu_b[ib]), mu_b, "muB")
+    sigma_a = d / np.sqrt(2.0 * la[ib])
+    r_a = sigma_a * np.sqrt(2.0 * la)
+    u_max = lb[ia] / a ** 2
+    others = [k for k in range(len(rows)) if k not in (ia, ib)]
+    t = np.linspace(0.0, 2.0 * np.pi, _CURVE_SAMPLES, endpoint=False)
+
+    def worst_margin(u):
+        v = (lb[ia] - a ** 2 * u) / b ** 2
+        if v <= 0.0:
+            return -np.inf
+        worst = np.inf
+        for k in others:
+            g = u * (r_a[k] * np.cos(t) - a) ** 2 + v * (r_a[k] * np.sin(t) - b) ** 2
+            worst = min(worst, lb[k] - g.min(), g.max() - lb[k])
+        return worst
+
+    grid = [u_max * (i + 0.5) / _SCAN_POINTS for i in range(_SCAN_POINTS)]
+    margins = [worst_margin(u) for u in grid]
+    eligible = [i for i, m in enumerate(margins) if m >= MARGIN_FLOOR]
+    if eligible:
+        i0 = max(eligible)
+        lo = grid[i0]
+        hi = grid[i0 + 1] if i0 + 1 < _SCAN_POINTS else u_max
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if worst_margin(mid) >= MARGIN_FLOOR:
+                lo = mid
+            else:
+                hi = mid
+        u_star = lo
+    else:
+        best = int(np.argmax(margins))
+        if margins[best] <= 0.0:
+            raise PlacementError(
+                "circles disjoint: no width assignment intersects every level-curve pair"
+            )
+        u_star = grid[best]
+    v_star = (lb[ia] - a ** 2 * u_star) / b ** 2
+    return sigma_a, 1.0 / np.sqrt(2.0 * u_star), 1.0 / np.sqrt(2.0 * v_star), ia, ib
+
+
+def _perturbed(rows, seed, scale):
+    rng = np.random.default_rng(seed)
+    factors = np.exp(scale * rng.standard_normal((len(rows), 2)))
+    return [dataclasses.replace(r, mu_a=float(min(r.mu_a * fa, 1.0)),
+                                mu_b=float(min(r.mu_b * fb, 1.0)))
+            for r, (fa, fb) in zip(rows, factors)]
+
+
+def test_width_fit_matches_per_row_loop(table2):
+    rows = table2[0]
+    assert _fit_widths(rows, (10.0, 4.0)) == _fit_widths_loop(rows, (10.0, 4.0))
+    for seed in (0, 1):
+        pert = _perturbed(rows, seed, 0.1)
+        assert _fit_widths(pert, (10.0, 4.0)) == _fit_widths_loop(pert, (10.0, 4.0))
+    # a 0.2 spread with seed 0 leaves no width assignment that fits
+    pert = _perturbed(rows, 0, 0.2)
+    with pytest.raises(PlacementError, match="no width assignment"):
+        _fit_widths_loop(pert, (10.0, 4.0))
+    with pytest.raises(PlacementError, match="no width assignment"):
+        _fit_widths(pert, (10.0, 4.0))
 
 
 def test_lowest_monomials_order():
@@ -242,6 +328,45 @@ def test_superposed_clamp_count_zero_on_bundled_data(table2):
     # interference really moves intensity around relative to the average
     delta = patterns[GridKind.SUPERPOSED].values - patterns[GridKind.CLASSICAL_AVERAGE].values
     assert (delta > 0).any() and (delta < 0).any()
+
+
+def _dense_patterns(config, phase, grid):
+    """Reference raster: full (ny, nx) coordinate grids, one new total per term."""
+    x_min, x_max, y_min, y_max = DEFAULT_EXTENT
+    x, y = np.meshgrid(np.linspace(x_min, x_max, grid[0]), np.linspace(y_min, y_max, grid[1]))
+    i_a, i_b = _intensity_fields(config, x, y)
+    phi = np.zeros(x.shape)
+    for mx, my, coef in phase.terms:
+        phi = phi + coef * x ** mx * y ** my
+    classical = 0.5 * (i_a + i_b)
+    raw = classical + np.sqrt(i_a * i_b) * _cos_phase(phi)
+    values = {GridKind.INTENSITY_A: i_a, GridKind.INTENSITY_B: i_b,
+              GridKind.SUPERPOSED: np.maximum(raw, 0.0), GridKind.CLASSICAL_AVERAGE: classical}
+    return values, int(np.sum(raw < 0.0))
+
+
+@pytest.mark.parametrize("grid", [(512, 512), (37, 23)])
+def test_raster_matches_dense_grid(table2, grid):
+    _, config, _, poly = table2
+    patterns = evaluate_patterns(config, poly, grid=grid)
+    values, clamps = _dense_patterns(config, poly, grid)
+    for kind in GridKind:
+        assert np.array_equal(patterns[kind].values, values[kind]), kind
+    assert patterns[GridKind.SUPERPOSED].clamp_count == clamps
+
+
+def test_export_csv_matches_per_pixel_format(tmp_path, table2):
+    _, config, _, poly = table2
+    for kind, pattern in evaluate_patterns(config, poly, grid=(7, 13)).items():
+        xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
+        ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
+        lines = ["x,y,value"]
+        for iy in range(pattern.ny):
+            for ix in range(pattern.nx):
+                lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{pattern.values[iy, ix]:.9g}")
+        path = tmp_path / f"{kind.value}.csv"
+        export_grid(pattern, str(path))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), kind
 
 
 def test_export_csv_layout(tmp_path, table2):
