@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModelError, check_unit_interval
 
 # slack for comparisons against zero; the weights are survey frequencies,
@@ -65,41 +67,73 @@ class ClassicalityReport:
     extension_class: ExtensionClass
 
 
+@dataclass(frozen=True)
+class ClassicalityColumns:
+    """Per-row diagnostics of a table, one array per field, in input order."""
+
+    delta: np.ndarray
+    kolmogorov_factor: np.ndarray
+    interference_need: np.ndarray
+    classical_representable: np.ndarray   # bool
+    extension_class: np.ndarray           # object array of ExtensionClass
+
+
+_EXTENSION_CLASSES = np.array(list(ExtensionClass), dtype=object)
+_NONE, _OVER, _DOUBLE_OVER, _UNDER, _DOUBLE_UNDER = range(5)
+
+
+def _min(x, y):
+    # Python's min(x, y): x unless y < x, so min(-0.0, 0.0) is -0.0
+    return np.where(y < x, y, x)
+
+
+def _max(x, y):
+    return np.where(y > x, y, x)
+
+
+def batch_diagnose(mu_a, mu_b, mu_joint, is_and,
+                   slack: float = ZERO_SLACK) -> ClassicalityColumns:
+    """Diagnostics for columns of weights; ``is_and`` marks conjunction rows.
+
+    Each row gets the same IEEE operations, in the same order, as the
+    formulas in the module docstring evaluated on Python floats.
+    """
+    a = np.asarray(mu_a, dtype=float)
+    b = np.asarray(mu_b, dtype=float)
+    j = np.asarray(mu_joint, dtype=float)
+    is_and = np.asarray(is_and, dtype=bool)
+    lo, hi, half_sum = _min(a, b), _max(a, b), (a + b) / 2.0
+    delta = np.where(is_and, j - lo, hi - j)
+    k = np.where(is_and, 1.0 - a - b + j, a + b - j)
+    f = np.where(is_and, _min(half_sum - j, j - a * b), _min(j - half_sum, a + b - a * b - j))
+    classical = (delta <= slack) & (k >= -slack)
+    single = delta > slack
+    ext = np.where(is_and,
+                   np.where(j > hi + slack, _DOUBLE_OVER, np.where(single, _OVER, _NONE)),
+                   np.where(j < lo - slack, _DOUBLE_UNDER, np.where(single, _UNDER, _NONE)))
+    return ClassicalityColumns(delta, k, f, classical, _EXTENSION_CLASSES[ext])
+
+
+def _one_row(mu_a, mu_b, mu_joint, is_and, slack) -> ClassicalityReport:
+    cols = batch_diagnose([mu_a], [mu_b], [mu_joint], [is_and], slack)
+    return ClassicalityReport(float(cols.delta[0]), float(cols.kolmogorov_factor[0]),
+                              float(cols.interference_need[0]),
+                              bool(cols.classical_representable[0]),
+                              cols.extension_class[0])
+
+
 def conjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float,
                             slack: float = ZERO_SLACK) -> ClassicalityReport:
     """Diagnostics for mu(A and B) against its components."""
-    delta = mu_joint - min(mu_a, mu_b)
-    k = 1.0 - mu_a - mu_b + mu_joint
-    f = min((mu_a + mu_b) / 2.0 - mu_joint, mu_joint - mu_a * mu_b)
-    classical = delta <= slack and k >= -slack
-    ext = ExtensionClass.NONE
-    if mu_joint > max(mu_a, mu_b) + slack:
-        ext = ExtensionClass.DOUBLE_OVEREXTENDED
-    elif delta > slack:
-        ext = ExtensionClass.OVEREXTENDED
-    return ClassicalityReport(delta, k, f, classical, ext)
+    return _one_row(mu_a, mu_b, mu_joint, True, slack)
 
 
 def disjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float,
                             slack: float = ZERO_SLACK) -> ClassicalityReport:
     """Diagnostics for mu(A or B) against its components."""
-    delta = max(mu_a, mu_b) - mu_joint
-    k = mu_a + mu_b - mu_joint
-    f = min(mu_joint - (mu_a + mu_b) / 2.0, mu_a + mu_b - mu_a * mu_b - mu_joint)
-    classical = delta <= slack and k >= -slack
-    ext = ExtensionClass.NONE
-    if mu_joint < min(mu_a, mu_b) - slack:
-        ext = ExtensionClass.DOUBLE_UNDEREXTENDED
-    elif delta > slack:
-        ext = ExtensionClass.UNDEREXTENDED
-    return ClassicalityReport(delta, k, f, classical, ext)
+    return _one_row(mu_a, mu_b, mu_joint, False, slack)
 
 
 def diagnose(triple: MembershipTriple, slack: float = ZERO_SLACK) -> ClassicalityReport:
-    fn = conjunction_diagnostics if triple.connective == "and" else disjunction_diagnostics
-    return fn(triple.mu_a, triple.mu_b, triple.mu_joint, slack)
-
-
-def batch_diagnose(triples, slack: float = ZERO_SLACK):
-    """Diagnose a list of triples; returns reports in input order."""
-    return [diagnose(t, slack) for t in triples]
+    return _one_row(triple.mu_a, triple.mu_b, triple.mu_joint, triple.connective == "and",
+                    slack)

@@ -20,8 +20,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,8 +59,49 @@ def _out_dir(args) -> str:
     return out
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, encoded=None) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    Each key of ``encoded`` is added to the top-level dict with that text,
+    already encoded at indent 0, as its value. Re-indenting the text by
+    replacing its newlines is safe because JSON strings never hold a raw
+    newline.
+    """
+    if not encoded:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    texts = {key: json.dumps(value, indent=2, sort_keys=True) for key, value in obj.items()}
+    texts.update(encoded)
+    return "{\n" + ",\n".join(
+        f"  {_encode_str(key)}: " + texts[key].replace("\n", "\n  ") for key in sorted(texts)
+    ) + "\n}"
+
+
+def _encode_each(encode, strings) -> list:
+    """``encode(s)`` for each string, computed once per distinct string."""
+    memo = {s: encode(s) for s in set(strings)}
+    return list(map(memo.__getitem__, strings))
+
+
+def _json_floats(values) -> list:
+    """JSON text of each float as json.dumps writes it: repr when finite, null for None."""
+    r, finite = float.__repr__, math.isfinite
+    return [("null" if v is None else r(v) if finite(v) else json.dumps(v)) for v in values]
+
+
+def _json_rows(columns: dict) -> str:
+    """``_dumps`` of a list of dicts, given each key's column of encoded values.
+
+    Every row is formatted through one %-template holding the keys in
+    sort_keys order, so no per-row encoder runs.
+    """
+    keys = sorted(columns)
+    template = "  {\n" + ",\n".join(
+        f"    {_encode_str(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
+    body = ",\n".join(map(template.__mod__, zip(*(columns[key] for key in keys))))
+    return f"[\n{body}\n]" if body else "[]"
 
 
 def _digest(data: bytes) -> str:
@@ -84,9 +128,10 @@ def _manifest(argv, args, parameters, outputs) -> dict:
     }
 
 
-def _emit(args, payload: dict, human_lines):
+def _emit(args, payload: dict, human_lines, encoded=None):
+    """Print the payload (see ``_dumps``) with --json, else the human lines."""
     if args.json:
-        print(_dumps(payload))
+        print(_dumps(payload, encoded))
     else:
         for line in human_lines:
             print(line)
@@ -111,39 +156,51 @@ def _dataset_rows(args, kind: str):
 
 # ---------------------------------------------------------------- classicality
 
+def _csv_field(text: str) -> str:
+    """A CSV field quoted as csv.QUOTE_MINIMAL would quote it, only when it must be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_classicality(args, argv) -> int:
     triples = _dataset_rows(args, "membership")
-    reports = classicality.batch_diagnose(triples)
-    records = []
-    for t, r in zip(triples, reports):
-        records.append({
-            "exemplar": t.exemplar,
-            "conceptA": t.concept_a,
-            "conceptB": t.concept_b,
-            "muA": t.mu_a,
-            "muB": t.mu_b,
-            "muJoint": t.mu_joint,
-            "connective": t.connective,
-            "delta": r.delta,
-            "k": r.kolmogorov_factor,
-            "f": r.interference_need,
-            "classical": r.classical_representable,
-            "extension_class": r.extension_class.value,
-        })
+    names, concept_a, concept_b, mu_a, mu_b, mu_joint, connective = (
+        list(map(attrgetter(field), triples))
+        for field in ("exemplar", "concept_a", "concept_b", "mu_a", "mu_b", "mu_joint",
+                      "connective"))
+    is_and = np.array([c == "and" for c in connective], dtype=bool)
+    diag = classicality.batch_diagnose(mu_a, mu_b, mu_joint, is_and)
+    delta, k, f = (col.tolist() for col in
+                   (diag.delta, diag.kolmogorov_factor, diag.interference_need))
+    ext = [e.value for e in diag.extension_class]
+    columns = {
+        "exemplar": _encode_each(_encode_str, names),
+        "conceptA": _encode_each(_encode_str, concept_a),
+        "conceptB": _encode_each(_encode_str, concept_b),
+        "muA": _json_floats(mu_a),
+        "muB": _json_floats(mu_b),
+        "muJoint": _json_floats(mu_joint),
+        "connective": _encode_each(_encode_str, connective),
+        "delta": _json_floats(delta),
+        "k": _json_floats(k),
+        "f": _json_floats(f),
+        "classical": ["true" if c else "false" for c in diag.classical_representable.tolist()],
+        "extension_class": _encode_each(_encode_str, ext),
+    }
+    rows_json = _json_rows(columns)
 
     out = _out_dir(args)
     json_name, csv_name = "classicality.json", "classicality.csv"
-    wavefield.atomic_write(os.path.join(out, json_name), (_dumps(records) + "\n").encode())
+    wavefield.atomic_write(os.path.join(out, json_name), (rows_json + "\n").encode())
+    # the weights are validated finite, so their JSON text is also their repr
+    csv_cells = [_encode_each(_csv_field, col) for col in (names, concept_a, concept_b)]
+    csv_cells += [columns["muA"], columns["muB"], columns["muJoint"], connective,
+                  columns["delta"], columns["k"], columns["f"], columns["classical"], ext]
     header = "exemplar,conceptA,conceptB,muA,muB,muJoint,connective,delta,k,f,classical,extension_class"
-    lines = [header]
-    for rec in records:
-        lines.append(",".join([
-            rec["exemplar"], rec["conceptA"], rec["conceptB"],
-            repr(rec["muA"]), repr(rec["muB"]), repr(rec["muJoint"]),
-            rec["connective"], repr(rec["delta"]), repr(rec["k"]), repr(rec["f"]),
-            "true" if rec["classical"] else "false", rec["extension_class"],
-        ]))
-    wavefield.atomic_write(os.path.join(out, csv_name), ("\n".join(lines) + "\n").encode())
+    lines = map(",".join, zip(*csv_cells))
+    wavefield.atomic_write(os.path.join(out, csv_name),
+                           ("\n".join([header, *lines]) + "\n").encode())
     manifest = _manifest(argv, args, {
         "dataset": getattr(args, "dataset", None),
         "input": str(args.input) if getattr(args, "input", None) else None,
@@ -153,24 +210,18 @@ def _cmd_classicality(args, argv) -> int:
     wavefield.atomic_write(os.path.join(out, "classicality_manifest.json"),
                            (_dumps(manifest) + "\n").encode())
 
-    n_classical = sum(1 for r in records if r["classical"])
-    by_class = {}
-    for r in records:
-        by_class[r["extension_class"]] = by_class.get(r["extension_class"], 0) + 1
-    class_summary = ", ".join(f"{k} {v}" for k, v in sorted(by_class.items()))
-    human = [
-        f"{len(records)} rows: {n_classical} classically representable,"
-        f" {len(records) - n_classical} not",
-        f"extension classes: {class_summary}",
-    ]
-    for rec in records:
-        human.append(
-            f"  {rec['exemplar']:<18} {rec['connective']:<3}"
-            f" delta {_sig(rec['delta']):>9}  k {_sig(rec['k']):>9}"
-            f"  f {_sig(rec['f']):>9}  {rec['extension_class']}"
-        )
-    human.append(f"wrote {json_name}, {csv_name}, classicality_manifest.json in {out}")
-    _emit(args, {"rows": records, "outputs": manifest["outputs"]}, human)
+    def human():
+        n = len(triples)
+        n_classical = int(np.count_nonzero(diag.classical_representable))
+        class_summary = ", ".join(f"{c} {m}" for c, m in sorted(Counter(ext).items()))
+        yield f"{n} rows: {n_classical} classically representable, {n - n_classical} not"
+        yield f"extension classes: {class_summary}"
+        for name, conn, d_, k_, f_, ext_ in zip(names, connective, delta, k, f, ext):
+            yield (f"  {name:<18} {conn:<3} delta {_sig(d_):>9}"
+                   f"  k {_sig(k_):>9}  f {_sig(f_):>9}  {ext_}")
+        yield f"wrote {json_name}, {csv_name}, classicality_manifest.json in {out}"
+
+    _emit(args, {"outputs": manifest["outputs"]}, human(), encoded={"rows": rows_json})
     return 0
 
 
@@ -275,19 +326,18 @@ def _cmd_disjunction_model(args, argv) -> int:
     predictions = [disjunction_model.predict_disjunction(model, k)
                    for k in range(1, len(rows) + 1)]
     errors = [abs(p - r.mu_a_or_b) for p, r in zip(predictions, model.rows)]
-    row_payload = []
-    for r, phase, pred, err in zip(model.rows, model.phases, predictions, errors):
-        row_payload.append({
-            "index": r.index,
-            "name": r.name,
-            "muA": r.mu_a,
-            "muB": r.mu_b,
-            "muAorB": r.mu_a_or_b,
-            "phi_deg_supplied": r.phi_deg,
-            "phi_deg": _deg_json(phase),
-            "prediction": pred,
-            "abs_error": err,
-        })
+    phi_deg = [_deg_json(phase) for phase in model.phases]
+    rows_json = _json_rows({
+        "index": [str(r.index) for r in model.rows],
+        "name": _encode_each(_encode_str, [r.name for r in model.rows]),
+        "muA": _json_floats([r.mu_a for r in model.rows]),
+        "muB": _json_floats([r.mu_b for r in model.rows]),
+        "muAorB": _json_floats([r.mu_a_or_b for r in model.rows]),
+        "phi_deg_supplied": _json_floats([r.phi_deg for r in model.rows]),
+        "phi_deg": _json_floats(phi_deg),
+        "prediction": _json_floats(predictions),
+        "abs_error": _json_floats(errors),
+    })
     payload = {
         "dim": model.dim,
         "c": list(model.c),
@@ -297,7 +347,6 @@ def _cmd_disjunction_model(args, argv) -> int:
         "norm_deviation_a": model.norm_deviation_a,
         "norm_deviation_b": model.norm_deviation_b,
         "max_abs_prediction_error": max(errors),
-        "rows": row_payload,
     }
     if args.emit_vectors:
         payload["vectors"] = {
@@ -311,12 +360,12 @@ def _cmd_disjunction_model(args, argv) -> int:
         f"orthogonality residual |<A|B>|: {_sig(payload['orthogonality_residual'])}",
         f"max |prediction - muAorB|: {_sig(payload['max_abs_prediction_error'])}",
     ]
-    for rp in row_payload:
+    for r, phi, pred in zip(model.rows, phi_deg, predictions):
         human.append(
-            f"  {rp['index']:>3} {rp['name']:<14} phi {rp['phi_deg']:>9.2f} deg"
-            f"  predicted {_sig(rp['prediction']):>9}  observed {_sig(rp['muAorB'])}"
+            f"  {r.index:>3} {r.name:<14} phi {phi:>9.2f} deg"
+            f"  predicted {_sig(pred):>9}  observed {_sig(r.mu_a_or_b)}"
         )
-    _emit(args, payload, human)
+    _emit(args, payload, human, encoded={"rows": rows_json})
     return 0
 
 

@@ -50,15 +50,23 @@ class Dataset:
 
 
 def _iter_csv_rows(text, source):
-    """Yield (line_number, fields) skipping blank and comment lines."""
+    """Yield (line_number, fields) skipping blank and comment lines.
+
+    Each line is parsed on its own, so a stray quote cannot swallow the
+    next line. A line with no quote character splits on commas exactly as
+    ``csv.reader`` would split it (splitlines leaves no CR or LF inside).
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            fields = next(csv.reader(io.StringIO(raw)))
-        except csv.Error as exc:
-            raise DataError(f"{source}: malformed CSV: {exc}", line=lineno)
+        if '"' in raw:
+            try:
+                fields = next(csv.reader(io.StringIO(raw)))
+            except csv.Error as exc:
+                raise DataError(f"{source}: malformed CSV: {exc}", line=lineno)
+        else:
+            fields = raw.split(",")
         yield lineno, [f.strip() for f in fields]
 
 

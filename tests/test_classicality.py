@@ -1,10 +1,15 @@
 """Delta/k/f diagnostics and extension classification."""
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconcepts.classicality import (
+    ZERO_SLACK,
     ExtensionClass,
     MembershipTriple,
     batch_diagnose,
@@ -79,13 +84,10 @@ def test_diagnose_dispatches_on_connective():
 
 
 def test_batch_diagnose_preserves_order():
-    triples = [
-        MembershipTriple("a", "A", "B", 0.5, 0.5, 0.25, "and"),
-        MembershipTriple("b", "A", "B", 0.5, 0.5, 0.75, "or"),
-    ]
-    reports = batch_diagnose(triples)
-    assert len(reports) == 2
-    assert reports[0].classical_representable and reports[1].classical_representable
+    cols = batch_diagnose([0.5, 0.5], [0.5, 0.5], [0.25, 0.75], [True, False])
+    assert cols.classical_representable.tolist() == [True, True]
+    assert cols.delta.tolist() == [0.25 - 0.5, 0.5 - 0.75]
+    assert cols.kolmogorov_factor.tolist() == [0.25, 0.25]
 
 
 def test_classical_joint_distributions_always_pass():
@@ -110,3 +112,82 @@ def test_interference_need_matches_definitions():
         assert r.interference_need == pytest.approx(min((a + b) / 2 - j, j - a * b), abs=0)
         r = disjunction_diagnostics(a, b, j)
         assert r.interference_need == pytest.approx(min(j - (a + b) / 2, a + b - a * b - j), abs=0)
+
+
+# ------------------------------------- array-first core against the scalar formulas
+
+def _reference_conjunction(mu_a, mu_b, mu_joint, slack=ZERO_SLACK):
+    """The per-row diagnostics on Python floats, as written before the array core."""
+    delta = mu_joint - min(mu_a, mu_b)
+    k = 1.0 - mu_a - mu_b + mu_joint
+    f = min((mu_a + mu_b) / 2.0 - mu_joint, mu_joint - mu_a * mu_b)
+    classical = delta <= slack and k >= -slack
+    ext = ExtensionClass.NONE
+    if mu_joint > max(mu_a, mu_b) + slack:
+        ext = ExtensionClass.DOUBLE_OVEREXTENDED
+    elif delta > slack:
+        ext = ExtensionClass.OVEREXTENDED
+    return delta, k, f, classical, ext
+
+
+def _reference_disjunction(mu_a, mu_b, mu_joint, slack=ZERO_SLACK):
+    delta = max(mu_a, mu_b) - mu_joint
+    k = mu_a + mu_b - mu_joint
+    f = min(mu_joint - (mu_a + mu_b) / 2.0, mu_a + mu_b - mu_a * mu_b - mu_joint)
+    classical = delta <= slack and k >= -slack
+    ext = ExtensionClass.NONE
+    if mu_joint < min(mu_a, mu_b) - slack:
+        ext = ExtensionClass.DOUBLE_UNDEREXTENDED
+    elif delta > slack:
+        ext = ExtensionClass.UNDEREXTENDED
+    return delta, k, f, classical, ext
+
+
+def _hex_row(delta, k, f, classical, ext):
+    # float.hex tells -0.0 from 0.0 and shows every bit of the mantissa
+    return float(delta).hex(), float(k).hex(), float(f).hex(), bool(classical), ext
+
+
+_weight = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+_offset = st.sampled_from([0.0, -0.0, ZERO_SLACK, -ZERO_SLACK, ZERO_SLACK / 2, -ZERO_SLACK / 2,
+                           2 * ZERO_SLACK, -2 * ZERO_SLACK, 5e-324, -5e-324])
+
+
+@st.composite
+def _triples(draw):
+    """Weights with ties and joints within ZERO_SLACK of every classicality boundary."""
+    mu_a = draw(_weight)
+    mu_b = draw(st.one_of(st.just(mu_a), _weight))
+    anchor = draw(st.sampled_from(["free", "a", "b", "min", "max", "k_and", "k_or"]))
+    base = {
+        "free": draw(_weight), "a": mu_a, "b": mu_b,
+        "min": min(mu_a, mu_b), "max": max(mu_a, mu_b),
+        "k_and": mu_a + mu_b - 1.0, "k_or": mu_a + mu_b,
+    }[anchor]
+    return mu_a, mu_b, base + draw(_offset)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(triple=_triples())
+def test_scalar_wrappers_match_the_reference_bitwise(triple):
+    assert _hex_row(*astuple(conjunction_diagnostics(*triple))) == \
+        _hex_row(*_reference_conjunction(*triple))
+    assert _hex_row(*astuple(disjunction_diagnostics(*triple))) == \
+        _hex_row(*_reference_disjunction(*triple))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rows=st.lists(st.tuples(_triples(), st.booleans()), max_size=40))
+def test_batch_diagnose_matches_the_reference_bitwise_on_mixed_tables(rows):
+    mu_a = [t[0] for t, _ in rows]
+    mu_b = [t[1] for t, _ in rows]
+    mu_joint = [t[2] for t, _ in rows]
+    is_and = [c for _, c in rows]
+    cols = batch_diagnose(mu_a, mu_b, mu_joint, is_and)
+    got = [_hex_row(*row) for row in zip(
+        cols.delta.tolist(), cols.kolmogorov_factor.tolist(),
+        cols.interference_need.tolist(), cols.classical_representable.tolist(),
+        cols.extension_class.tolist())]
+    want = [_hex_row(*(_reference_conjunction if c else _reference_disjunction)(*t))
+            for t, c in rows]
+    assert got == want

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: verbs, JSON payloads, exit codes, manifests."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+
+from qconcepts import classicality, datasets
 
 COUNTS_CSV = """\
 experiment,outcome11,outcome12,outcome21,outcome22
@@ -108,6 +112,127 @@ def test_classicality_accepts_input_file(run_cli_json, tmp_path):
     assert mint["delta"] == pytest.approx(0.09, abs=1e-12)
     manifest = json.loads((tmp_path / "out" / "classicality_manifest.json").read_text())
     assert str(path) in manifest["inputs"]
+
+
+CLASSICALITY_HEADER = ["exemplar", "conceptA", "conceptB", "muA", "muB", "muJoint",
+                       "connective", "delta", "k", "f", "classical", "extension_class"]
+
+
+def _membership_input(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["exemplar", "conceptA", "conceptB", "muA", "muB", "muJoint", "connective"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _odd_membership_rows():
+    """Seeded rows whose names hold non-ASCII text, backslashes, quotes and commas,
+    and whose weights repr in exponent form or as a signed zero."""
+    rng = np.random.default_rng(11)
+    alphabet = list('ab Zé日☃\\",%{}') + ["\u00e9t\u00e9", "\\n", "\U0001f600"]
+    weights = [1e-05, 2.5e-07, 0.0, -0.0, 1.0, 0.5, 0.1 + 0.2]
+
+    def name():
+        return "x" + "".join(rng.choice(alphabet, size=rng.integers(0, 6)))
+
+    rows = []
+    for _ in range(60):
+        mu = [repr(weights[i]) if i < len(weights) else repr(round(rng.random(), 4))
+              for i in rng.integers(0, 2 * len(weights), size=3)]
+        rows.append([name(), name(), name(), *mu, rng.choice(["and", "or"])])
+    return rows
+
+
+def _reference_classicality(triples):
+    """The records, CSV and payload as json.dumps and csv.writer write them."""
+    records = []
+    for t in triples:
+        r = classicality.diagnose(t)
+        records.append({
+            "exemplar": t.exemplar, "conceptA": t.concept_a, "conceptB": t.concept_b,
+            "muA": t.mu_a, "muB": t.mu_b, "muJoint": t.mu_joint, "connective": t.connective,
+            "delta": r.delta, "k": r.kolmogorov_factor, "f": r.interference_need,
+            "classical": r.classical_representable,
+            "extension_class": r.extension_class.value,
+        })
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CLASSICALITY_HEADER)
+    for rec in records:
+        writer.writerow([rec[key] if isinstance(rec[key], str) else repr(rec[key])
+                         for key in CLASSICALITY_HEADER[:-2]]
+                        + ["true" if rec["classical"] else "false", rec["extension_class"]])
+    payload = {"rows": records, "outputs": ["classicality.csv", "classicality.json"]}
+    return (json.dumps(records, indent=2, sort_keys=True) + "\n", buf.getvalue(),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("source", ["hampton-table3", "no-rows", "odd-names"])
+def test_classicality_outputs_match_json_dumps_and_csv_writer(run_cli, tmp_path, source):
+    if source == "hampton-table3":
+        args = ("--dataset", source)
+        triples = datasets.load_dataset(source).rows
+    else:
+        path = tmp_path / "in.csv"
+        path.write_text(_membership_input(_odd_membership_rows() if source == "odd-names"
+                                          else []), encoding="utf-8")
+        args = ("--input", path)
+        triples = datasets.load_membership_csv(path)
+    code, out, err = run_cli("classicality", *args, "--out-dir", tmp_path / "out", "--json")
+    assert code == 0 and err == ""
+    want_json, want_csv, want_stdout = _reference_classicality(triples)
+    assert (tmp_path / "out" / "classicality.json").read_bytes() == want_json.encode()
+    got_csv = (tmp_path / "out" / "classicality.csv").read_bytes().decode("utf-8")
+    assert got_csv == want_csv
+    assert out == want_stdout
+    # numpy 2 scalars repr as np.float64(...); only plain float reprs may reach the CSV
+    assert "np." not in got_csv
+    if source == "hampton-table3":
+        # no bundled name needs quoting, so the CSV is the plain comma join
+        assert '"' not in got_csv
+    if source == "odd-names":
+        assert "1e-05" in got_csv and "-0.0" in got_csv and '"' in got_csv
+
+
+def test_classicality_csv_quotes_fields_that_need_it(run_cli, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(MEMBERSHIP_CSV + '"Tomato, cherry",Fruits,Vegetables,0.7,0.7,0.9,or\n'
+                    'Say "hi",A\\B,"""Big"" apple",0.5,0.5,0.25,and\n', encoding="utf-8")
+    code, _, _ = run_cli("classicality", "--input", path, "--out-dir", tmp_path, "--json")
+    assert code == 0
+    with open(tmp_path / "classicality.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CLASSICALITY_HEADER
+    assert all(len(row) == len(CLASSICALITY_HEADER) for row in rows)
+    assert [row[:3] for row in rows[1:]] == [
+        ["Mint", "Food", "Plant"], ["Mushroom", "Fruits", "Vegetables"],
+        ["Tomato, cherry", "Fruits", "Vegetables"], ['Say "hi"', "A\\B", '"Big" apple']]
+    r = classicality.disjunction_diagnostics(0.7, 0.7, 0.9)
+    assert rows[3][3:] == ["0.7", "0.7", "0.9", "or", repr(r.delta), repr(r.kolmogorov_factor),
+                           repr(r.interference_need), "true", "None"]
+
+
+@pytest.mark.parametrize("source", ["table2", "table2-vectors", "searched-signs"])
+def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path, source):
+    if source == "searched-signs":
+        rng = np.random.default_rng(5)
+        mu_a, mu_b = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40))
+        mu_or = 0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * np.cos(rng.uniform(0, np.pi, 40))
+        path = tmp_path / "x.csv"
+        path.write_text("index,name,muA,muB,muAorB\n" + "".join(
+            f"{i + 1},x\u00e9{i},{a!r},{b!r},{max(o, 0.0)!r}\n"
+            for i, (a, b, o) in enumerate(zip(mu_a.tolist(), mu_b.tolist(), mu_or.tolist()))))
+        args = ["--input", path]
+    else:
+        args = ["--dataset", "fruits-vegetables-table2"]
+        if source == "table2-vectors":
+            args.append("--emit-vectors")
+    code, out, err = run_cli("disjunction-model", *args, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(payload["rows"]) == (40 if source == "searched-signs" else 24)
 
 
 def test_classicality_dataset_kind_mismatch_errors(run_cli):

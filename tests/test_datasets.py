@@ -1,12 +1,17 @@
 """Bundled dataset registry and CSV parsing/validation."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconcepts.datasets import (
     ANIMAL_ACTS_OUTCOMES,
+    _iter_csv_rows,
     dataset_file_bytes,
     dataset_ids,
     list_datasets,
@@ -207,3 +212,38 @@ def test_parse_coincidence_block_sum_error_carries_line():
 def test_bundled_files_carry_provenance_comments():
     blob = dataset_file_bytes("animal-acts-table1")
     assert blob.lstrip().startswith(b"#")
+
+
+def _reference_iter_csv_rows(text, source):
+    """Every line through its own csv.reader, as parsed before the comma-split path."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            fields = next(csv.reader(io.StringIO(raw)))
+        except csv.Error as exc:
+            raise DataError(f"{source}: malformed CSV: {exc}", line=lineno)
+        yield lineno, [f.strip() for f in fields]
+
+
+def _rows_then_error(rows):
+    seen = []
+    try:
+        for item in rows:
+            seen.append(item)
+    except DataError as exc:
+        return seen, (str(exc), exc.line)
+    return seen, None
+
+
+# quotes (also unterminated), every line break splitlines knows, blanks, NUL, comments
+_csv_pieces = st.sampled_from(['a', 'b c', ',', '"', '""', '"x,y"', '\r', '\n', '\r\n', '\x0b',
+                               '\x1c', '\x85', ' ', '\t', '\x00', '#', '\n#', '\n\n', 'é'])
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(text=st.lists(_csv_pieces, max_size=40).map("".join))
+def test_comma_split_matches_the_per_line_csv_reader(text):
+    assert _rows_then_error(_iter_csv_rows(text, "t.csv")) == \
+        _rows_then_error(_reference_iter_csv_rows(text, "t.csv"))
