@@ -21,6 +21,10 @@ within one ulp numerically, and exactly zero when phi equals the float
 pi/2, so a 90-degree phase field degenerates the superposed pattern to the
 classical average bit for bit.
 
+Rasters are built and normalized in blocks of rows of about _BLOCK_PIXELS
+pixels, so each step's temporaries stay in cache; every pixel goes through
+the same elementwise operations as on the whole grid.
+
 Everything here is deterministic: fixed sample counts, fixed scan grids,
 bisection refinement.
 """
@@ -31,7 +35,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +49,7 @@ DEFAULT_GRID = (512, 512)
 _SCAN_POINTS = 512          # width-fit scan resolution
 _CURVE_SAMPLES = 2048       # samples along a level curve for min/max scans
 _ROOT_SAMPLES = 4096        # samples along a level curve for root bracketing
+_BLOCK_PIXELS = 1 << 16     # float64 pixels per raster row block (512 KB)
 
 
 class GridKind(enum.Enum):
@@ -101,6 +105,11 @@ class GridPattern:
     values: np.ndarray            # shape (ny, nx), rows ordered by ascending y
     kind: GridKind
     clamp_count: int = 0
+
+
+def _block_rows(nx):
+    """Rows per raster block: about _BLOCK_PIXELS pixels, at least one row."""
+    return max(1, _BLOCK_PIXELS // nx)
 
 
 def _cos_phase(phi):
@@ -393,14 +402,22 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
             raise ModelError("raster extent does not cover all exemplar positions")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    # sparse axes: x-only and y-only terms cost nx or ny operations, and
-    # broadcasting builds the (ny, nx) grid with the same per-pixel arithmetic
-    x, y = np.meshgrid(xs, ys, sparse=True)
-    i_a, i_b = _intensity_fields(config, x, y)
-    classical = 0.5 * (i_a + i_b)
-    raw = classical + np.sqrt(i_a * i_b) * _cos_phase(phase.evaluate(x, y))
-    clamps = int(np.sum(raw < 0.0))
-    superposed = np.maximum(raw, 0.0)
+    # each block broadcasts the x row against its ys column: one-axis terms
+    # cost nx or (block rows) operations, every pixel gets the same
+    # arithmetic as on the whole grid, and the temporaries stay in cache
+    x = xs[None, :]
+    i_a, i_b, superposed, classical = (np.empty((ny, nx)) for _ in range(4))
+    clamps = 0
+    step = _block_rows(nx)
+    for start in range(0, ny, step):
+        rows = slice(start, start + step)
+        y = ys[rows, None]
+        a, b = _intensity_fields(config, x, y)
+        cla = 0.5 * (a + b)
+        i_a[rows], i_b[rows], classical[rows] = a, b, cla
+        raw = cla + np.sqrt(a * b) * _cos_phase(phase.evaluate(x, y))
+        clamps += int(np.count_nonzero(raw < 0.0))
+        np.maximum(raw, 0.0, out=superposed[rows])
     ext = (x_min, x_max, y_min, y_max)
     return {
         GridKind.INTENSITY_A: GridPattern(nx, ny, ext, i_a, GridKind.INTENSITY_A),
@@ -449,21 +466,27 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
     xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
     ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
     if fmt == "csv":
+        # a row's text is its "y," joined between the pieces, then one
+        # %-format of its values ('%.9g' writes what '{:.9g}' does)
         xcol = [f"{x:.9g}," for x in xs.tolist()]
-        lines = ["x,y,value"]
+        pieces = xcol[:1] + [f"%.9g\n{x}" for x in xcol[1:]] + ["%.9g\n"]
+        lines = ["x,y,value\n"]
         for y, row in zip(ys.tolist(), pattern.values):
-            lines.extend(map("{}{}{:.9g}".format, xcol, repeat(f"{y:.9g},"), row.tolist()))
-        atomic_write(path, ("\n".join(lines) + "\n").encode())
+            lines.append(f"{y:.9g},".join(pieces) % tuple(row.tolist()))
+        atomic_write(path, "".join(lines).encode())
         return [path]
     if fmt == "pgm":
-        vmin = float(pattern.values.min())
-        vmax = float(pattern.values.max())
+        values = pattern.values
+        vmin = float(values.min())
+        vmax = float(values.max())
+        norm = np.zeros(values.shape, dtype=">u2")
         if vmax > vmin:
-            norm = np.round((pattern.values - vmin) / (vmax - vmin) * 65535.0)
-        else:
-            norm = np.zeros_like(pattern.values)
+            step = _block_rows(pattern.nx)
+            for start in range(0, pattern.ny, step):
+                rows = slice(start, start + step)
+                norm[rows] = np.round((values[rows] - vmin) / (vmax - vmin) * 65535.0)
         header = f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode()
-        atomic_write(path, header + norm.astype(">u2").tobytes())
+        atomic_write(path, header + norm.tobytes())
         sidecar = path + ".json"
         meta = {
             "kind": pattern.kind.value,

@@ -13,11 +13,14 @@ from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
     DEFAULT_EXTENT,
     MARGIN_FLOOR,
+    _BLOCK_PIXELS,
     _CURVE_SAMPLES,
     _SCAN_POINTS,
     GridKind,
+    GridPattern,
     PhasePolynomial,
     WaveFieldConfig,
+    _block_rows,
     _cos_phase,
     _fit_widths,
     _intensity_fields,
@@ -33,6 +36,10 @@ from qconcepts.wavefield import (
 
 E1 = float(np.exp(-1.0))
 SQ2INV = float(1.0 / np.sqrt(2.0))
+
+# a raster width and its rows per block, so block-edge grids track the constant
+BLOCK_NX = 512
+BLOCK = _block_rows(BLOCK_NX)
 
 
 @pytest.fixture(scope="module")
@@ -314,11 +321,13 @@ def test_ninety_degree_phase_degenerates_to_classical(table2):
     _, config, _, _ = table2
     assert _cos_phase(np.pi / 2.0) == 0.0
     quarter = PhasePolynomial(((0, 0, float(np.pi / 2.0)),))
-    patterns = evaluate_patterns(config, quarter, grid=(128, 128))
-    sup = patterns[GridKind.SUPERPOSED]
-    cla = patterns[GridKind.CLASSICAL_AVERAGE]
-    assert np.array_equal(sup.values, cla.values)
-    assert sup.clamp_count == 0
+    # one block, then two full blocks and a partial last one
+    for grid in [(128, 128), (BLOCK_NX, 2 * BLOCK + 1)]:
+        patterns = evaluate_patterns(config, quarter, grid=grid)
+        sup = patterns[GridKind.SUPERPOSED]
+        cla = patterns[GridKind.CLASSICAL_AVERAGE]
+        assert np.array_equal(sup.values, cla.values), grid
+        assert sup.clamp_count == 0
 
 
 def test_superposed_clamp_count_zero_on_bundled_data(table2):
@@ -345,7 +354,15 @@ def _dense_patterns(config, phase, grid):
     return values, int(np.sum(raw < 0.0))
 
 
-@pytest.mark.parametrize("grid", [(512, 512), (37, 23)])
+@pytest.mark.parametrize("grid", [
+    (512, 512), (37, 23), (7, 1001), (1001, 7),
+    # ny at the block edges: one block, a block short by a row, exactly one
+    # block, one row into the next, and a one-row last block after two
+    (BLOCK_NX, 2), (BLOCK_NX, BLOCK - 1), (BLOCK_NX, BLOCK), (BLOCK_NX, BLOCK + 1),
+    (BLOCK_NX, 2 * BLOCK + 1),
+    # a row wider than the block budget still makes a block of one row
+    (_BLOCK_PIXELS + 1, 2),
+])
 def test_raster_matches_dense_grid(table2, grid):
     _, config, _, poly = table2
     patterns = evaluate_patterns(config, poly, grid=grid)
@@ -355,18 +372,54 @@ def test_raster_matches_dense_grid(table2, grid):
     assert patterns[GridKind.SUPERPOSED].clamp_count == clamps
 
 
+def test_raster_clamp_count_adds_up_over_blocks():
+    # coincident identical sources at phase pi: raw = I - sqrt(I * I), which
+    # goes negative where I * I is subnormal, so clamps fall in every block
+    config = WaveFieldConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0.0, 0.0))
+    poly = PhasePolynomial(((0, 0, float(np.pi)),))
+    grid = (BLOCK_NX, 2 * BLOCK + 1)
+    patterns = evaluate_patterns(config, poly, grid=grid)
+    values, clamps = _dense_patterns(config, poly, grid)
+    for kind in GridKind:
+        assert np.array_equal(patterns[kind].values, values[kind]), kind
+    assert patterns[GridKind.SUPERPOSED].clamp_count == clamps
+    zeroed = values[GridKind.SUPERPOSED] == 0.0
+    assert all(zeroed[start:start + BLOCK].any() for start in range(0, grid[1], BLOCK))
+    assert clamps > 0
+
+
+def _csv_reference(pattern):
+    """Reference CSV: one "{:.9g}" format per field, joined per pixel."""
+    xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
+    ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
+    lines = ["x,y,value"]
+    for iy in range(pattern.ny):
+        for ix in range(pattern.nx):
+            lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{pattern.values[iy, ix]:.9g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _edge_values_pattern():
+    # values that format as 1e-05, -0, inf, nan, 1 ulp past 1 and 1.23456789e+11
+    values = np.array([[1e-05, -0.0, np.inf],
+                       [np.nan, -np.inf, 0.0],
+                       [np.nextafter(1.0, 2.0), 123456789012.0, -2.5e-300]])
+    return GridPattern(3, 3, (-1.0, 1.0, -0.5, 1e-05), values, GridKind.SUPERPOSED)
+
+
 def test_export_csv_matches_per_pixel_format(tmp_path, table2):
     _, config, _, poly = table2
-    for kind, pattern in evaluate_patterns(config, poly, grid=(7, 13)).items():
-        xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
-        ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
-        lines = ["x,y,value"]
-        for iy in range(pattern.ny):
-            for ix in range(pattern.nx):
-                lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{pattern.values[iy, ix]:.9g}")
-        path = tmp_path / f"{kind.value}.csv"
+    patterns = list(evaluate_patterns(config, poly, grid=(7, 13)).values())
+    patterns += list(evaluate_patterns(config, poly, grid=(2, 2)).values())
+    patterns.append(_edge_values_pattern())
+    for i, pattern in enumerate(patterns):
+        path = tmp_path / f"{i}.csv"
         export_grid(pattern, str(path))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), kind
+        assert path.read_bytes() == _csv_reference(pattern), (i, pattern.kind)
+    text = (tmp_path / f"{len(patterns) - 1}.csv").read_text()
+    assert text.split("\n")[1:7] == ["-1,-0.5,1e-05", "0,-0.5,-0", "1,-0.5,inf",
+                                      "-1,-0.249995,nan", "0,-0.249995,-inf",
+                                      "1,-0.249995,0"]
 
 
 def test_export_csv_layout(tmp_path, table2):
@@ -414,7 +467,6 @@ def test_export_pgm_and_sidecar(tmp_path, table2):
 
 
 def test_export_pgm_flat_pattern_is_all_zero(tmp_path):
-    from qconcepts.wavefield import GridPattern
     flat = GridPattern(4, 2, (0.0, 1.0, 0.0, 1.0), np.full((2, 4), 0.25),
                        GridKind.CLASSICAL_AVERAGE)
     path = tmp_path / "flat.pgm"
@@ -422,6 +474,54 @@ def test_export_pgm_flat_pattern_is_all_zero(tmp_path):
     blob = path.read_bytes()
     payload = np.frombuffer(blob[b"P5\n4 2\n65535\n".__len__():], dtype=">u2")
     assert (payload == 0).all()
+
+
+def _pgm_reference(pattern):
+    """Reference PGM: the header, then the whole-array normalization."""
+    v = pattern.values
+    vmin, vmax = float(v.min()), float(v.max())
+    if vmax > vmin:
+        norm = np.round((v - vmin) / (vmax - vmin) * 65535.0).astype(">u2")
+    else:
+        norm = np.zeros(v.shape, dtype=">u2")
+    return f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode() + norm.tobytes()
+
+
+def _ulp_pattern():
+    # signed zeros, subnormals, and values 1 ulp inside vmin and vmax
+    lo, hi = -1.0, 3.0
+    values = np.array([[np.nextafter(lo, hi), -0.0, 0.0, np.nextafter(hi, lo)],
+                       [hi, 5e-324, -5e-324, lo],
+                       [0.5, -0.0, np.nextafter(-0.0, hi), np.nextafter(0.0, lo)]])
+    return GridPattern(4, 3, (0.0, 1.0, 0.0, 1.0), values, GridKind.SUPERPOSED)
+
+
+def _half_level_pattern():
+    # values half a level apart, where a reordered normalization such as
+    # (v - vmin) * (65535 / (vmax - vmin)) rounds thousands of them the other way
+    lo, hi = 0.0, 0.1184
+    mids = lo + (np.arange(65534) + 0.5) / 65535.0 * (hi - lo)
+    values = np.concatenate(([lo], mids, [hi])).reshape(256, 256)
+    return GridPattern(256, 256, (0.0, 1.0, 0.0, 1.0), values, GridKind.INTENSITY_A)
+
+
+def test_export_pgm_matches_whole_array_normalization(tmp_path, table2):
+    _, config, _, poly = table2
+    patterns = list(evaluate_patterns(config, poly, grid=(37, 23)).values())
+    partial = evaluate_patterns(config, poly, grid=(BLOCK_NX, 2 * BLOCK + 1))
+    assert partial[GridKind.SUPERPOSED].ny % BLOCK == 1
+    patterns += list(partial.values())
+    patterns.append(GridPattern(5, 3, (0.0, 1.0, 0.0, 1.0), np.zeros((3, 5)),
+                                GridKind.CLASSICAL_AVERAGE))
+    patterns.append(_ulp_pattern())
+    patterns.append(_half_level_pattern())
+    for i, pattern in enumerate(patterns):
+        path = tmp_path / f"{i}.pgm"
+        export_grid(pattern, str(path), fmt="pgm")
+        assert path.read_bytes() == _pgm_reference(pattern), (i, pattern.kind)
+    payload = np.frombuffer(_pgm_reference(_ulp_pattern())[len(b"P5\n4 3\n65535\n"):],
+                            dtype=">u2")
+    assert payload[[0, 3, 4, 7]].tolist() == [0, 65535, 65535, 0]
 
 
 def test_export_rejects_unknown_format(tmp_path, table2):
