@@ -75,7 +75,12 @@ class ClassicalityColumns:
     kolmogorov_factor: np.ndarray
     interference_need: np.ndarray
     classical_representable: np.ndarray   # bool
-    extension_class: np.ndarray           # object array of ExtensionClass
+    extension_code: np.ndarray            # int: position in list(ExtensionClass)
+
+    @property
+    def extension_class(self) -> np.ndarray:
+        """Object array of the ExtensionClass of each row."""
+        return _EXTENSION_CLASSES[self.extension_code]
 
 
 _EXTENSION_CLASSES = np.array(list(ExtensionClass), dtype=object)
@@ -111,7 +116,7 @@ def batch_diagnose(mu_a, mu_b, mu_joint, is_and,
     ext = np.where(is_and,
                    np.where(j > hi + slack, _DOUBLE_OVER, np.where(single, _OVER, _NONE)),
                    np.where(j < lo - slack, _DOUBLE_UNDER, np.where(single, _UNDER, _NONE)))
-    return ClassicalityColumns(delta, k, f, classical, _EXTENSION_CLASSES[ext])
+    return ClassicalityColumns(delta, k, f, classical, ext)
 
 
 def _one_row(mu_a, mu_b, mu_joint, is_and, slack) -> ClassicalityReport:

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from collections import Counter
-from operator import attrgetter
 
 import numpy as np
 
@@ -91,6 +90,20 @@ def _json_floats(values) -> list:
     return [("null" if v is None else r(v) if finite(v) else json.dumps(v)) for v in values]
 
 
+def _json_float_column(col) -> list:
+    """``_json_floats`` of a float64 array, each distinct value formatted once.
+
+    Worth it where values repeat, as survey weights do. Values are keyed by
+    bit pattern: ``np.unique`` on the values would merge -0.0 with 0.0,
+    whose reprs differ.
+    """
+    col = np.asarray(col, dtype=np.float64)
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    encode = float.__repr__ if np.isfinite(col).all() else json.dumps
+    texts = np.array(list(map(encode, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _json_rows(columns: dict) -> str:
     """``_dumps`` of a list of dicts, given each key's column of encoded values.
 
@@ -137,17 +150,19 @@ def _emit(args, payload: dict, human_lines, encoded=None):
             print(line)
 
 
+def _check_dataset_kind(dataset_id: str, kind: str):
+    held = datasets.dataset_kind(dataset_id)
+    if held != kind:
+        raise ModelError(
+            f"dataset {dataset_id!r} holds {held} rows; this command needs {kind} rows")
+
+
 def _dataset_rows(args, kind: str):
     """Rows from --input or --dataset, checked against the expected payload kind."""
     if getattr(args, "dataset", None):
-        ds = datasets.load_dataset(args.dataset)
-        if ds.kind != kind:
-            raise ModelError(
-                f"dataset {ds.id!r} holds {ds.kind} rows; this command needs {kind} rows"
-            )
-        return list(ds.rows)
+        _check_dataset_kind(args.dataset, kind)
+        return list(datasets.load_dataset(args.dataset).rows)
     loader = {
-        "membership": datasets.load_membership_csv,
         "exemplar": datasets.load_exemplar_csv,
         "coincidence": datasets.load_coincidence_csv,
     }[kind]
@@ -164,27 +179,27 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_classicality(args, argv) -> int:
-    triples = _dataset_rows(args, "membership")
-    names, concept_a, concept_b, mu_a, mu_b, mu_joint, connective = (
-        list(map(attrgetter(field), triples))
-        for field in ("exemplar", "concept_a", "concept_b", "mu_a", "mu_b", "mu_joint",
-                      "connective"))
+    if getattr(args, "dataset", None):
+        _check_dataset_kind(args.dataset, "membership")
+        table = datasets.membership_dataset_columns(args.dataset)
+    else:
+        table = datasets.load_membership_columns(args.input)
+    names, connective = table.exemplar, table.connective
     is_and = np.array([c == "and" for c in connective], dtype=bool)
-    diag = classicality.batch_diagnose(mu_a, mu_b, mu_joint, is_and)
-    delta, k, f = (col.tolist() for col in
-                   (diag.delta, diag.kolmogorov_factor, diag.interference_need))
-    ext = [e.value for e in diag.extension_class]
+    diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, is_and)
+    ext_names = [e.value for e in classicality.ExtensionClass]
+    ext = list(map(ext_names.__getitem__, diag.extension_code.tolist()))
     columns = {
         "exemplar": _encode_each(_encode_str, names),
-        "conceptA": _encode_each(_encode_str, concept_a),
-        "conceptB": _encode_each(_encode_str, concept_b),
-        "muA": _json_floats(mu_a),
-        "muB": _json_floats(mu_b),
-        "muJoint": _json_floats(mu_joint),
+        "conceptA": _encode_each(_encode_str, table.concept_a),
+        "conceptB": _encode_each(_encode_str, table.concept_b),
+        "muA": _json_float_column(table.mu_a),
+        "muB": _json_float_column(table.mu_b),
+        "muJoint": _json_float_column(table.mu_joint),
         "connective": _encode_each(_encode_str, connective),
-        "delta": _json_floats(delta),
-        "k": _json_floats(k),
-        "f": _json_floats(f),
+        "delta": _json_float_column(diag.delta),
+        "k": _json_float_column(diag.kolmogorov_factor),
+        "f": _json_float_column(diag.interference_need),
         "classical": ["true" if c else "false" for c in diag.classical_representable.tolist()],
         "extension_class": _encode_each(_encode_str, ext),
     }
@@ -192,15 +207,16 @@ def _cmd_classicality(args, argv) -> int:
 
     out = _out_dir(args)
     json_name, csv_name = "classicality.json", "classicality.csv"
-    wavefield.atomic_write(os.path.join(out, json_name), (rows_json + "\n").encode())
+    wavefield.atomic_write(os.path.join(out, json_name), [rows_json.encode(), b"\n"])
     # the weights are validated finite, so their JSON text is also their repr
-    csv_cells = [_encode_each(_csv_field, col) for col in (names, concept_a, concept_b)]
+    csv_cells = [_encode_each(_csv_field, col)
+                 for col in (names, table.concept_a, table.concept_b)]
     csv_cells += [columns["muA"], columns["muB"], columns["muJoint"], connective,
                   columns["delta"], columns["k"], columns["f"], columns["classical"], ext]
     header = "exemplar,conceptA,conceptB,muA,muB,muJoint,connective,delta,k,f,classical,extension_class"
     lines = map(",".join, zip(*csv_cells))
     wavefield.atomic_write(os.path.join(out, csv_name),
-                           ("\n".join([header, *lines]) + "\n").encode())
+                           ["\n".join([header, *lines]).encode(), b"\n"])
     manifest = _manifest(argv, args, {
         "dataset": getattr(args, "dataset", None),
         "input": str(args.input) if getattr(args, "input", None) else None,
@@ -208,14 +224,16 @@ def _cmd_classicality(args, argv) -> int:
         "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
     }, [json_name, csv_name])
     wavefield.atomic_write(os.path.join(out, "classicality_manifest.json"),
-                           (_dumps(manifest) + "\n").encode())
+                           [(_dumps(manifest) + "\n").encode()])
 
     def human():
-        n = len(triples)
+        n = len(table)
         n_classical = int(np.count_nonzero(diag.classical_representable))
         class_summary = ", ".join(f"{c} {m}" for c, m in sorted(Counter(ext).items()))
         yield f"{n} rows: {n_classical} classically representable, {n - n_classical} not"
         yield f"extension classes: {class_summary}"
+        delta, k, f = (col.tolist() for col in
+                       (diag.delta, diag.kolmogorov_factor, diag.interference_need))
         for name, conn, d_, k_, f_, ext_ in zip(names, connective, delta, k, f, ext):
             yield (f"  {name:<18} {conn:<3} delta {_sig(d_):>9}"
                    f"  k {_sig(k_):>9}  f {_sig(f_):>9}  {ext_}")
@@ -348,11 +366,14 @@ def _cmd_disjunction_model(args, argv) -> int:
         "norm_deviation_b": model.norm_deviation_b,
         "max_abs_prediction_error": max(errors),
     }
+    encoded = {"rows": rows_json}
     if args.emit_vectors:
-        payload["vectors"] = {
-            "A": [[z.real, z.imag] for z in model.vector_a],
-            "B": [[z.real, z.imag] for z in model.vector_b],
-        }
+        # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
+        pair = "  [\n    %s,\n    %s\n  ]"
+        encoded["vectors"] = _dumps({}, {
+            label: "[\n" + ",\n".join(map(pair.__mod__, zip(
+                _json_float_column(vec.real), _json_float_column(vec.imag)))) + "\n]"
+            for label, vec in (("A", model.vector_a), ("B", model.vector_b))})
     human = [
         f"{model.dim}-dimensional model over {len(rows)} exemplars",
         f"phase signs: {model.sign_source}"
@@ -365,7 +386,7 @@ def _cmd_disjunction_model(args, argv) -> int:
             f"  {r.index:>3} {r.name:<14} phi {phi:>9.2f} deg"
             f"  predicted {_sig(pred):>9}  observed {_sig(r.mu_a_or_b)}"
         )
-    _emit(args, payload, human, encoded={"rows": rows_json})
+    _emit(args, payload, human, encoded=encoded)
     return 0
 
 
@@ -401,8 +422,8 @@ def _cmd_wavefield(args, argv) -> int:
         "placement_b": float(np.max(np.abs(i_b - mu_b))),
         "phase_fit": float(np.max(np.abs(poly.evaluate(px, py) - model.phases))),
         "superposed_vs_observed": float(np.max(np.abs(superposed - mu_or))),
-        "constructive_pixels": int(np.sum(sup_vals > cla_vals)),
-        "destructive_pixels": int(np.sum(sup_vals < cla_vals)),
+        "constructive_pixels": int(np.count_nonzero(sup_vals > cla_vals)),
+        "destructive_pixels": int(np.count_nonzero(sup_vals < cla_vals)),
     }
 
     out = _out_dir(args)
@@ -437,7 +458,7 @@ def _cmd_wavefield(args, argv) -> int:
     }
     manifest = _manifest(argv, args, parameters, outputs)
     wavefield.atomic_write(os.path.join(out, "wavefield_manifest.json"),
-                           (_dumps(manifest) + "\n").encode())
+                           [(_dumps(manifest) + "\n").encode()])
 
     human = [
         f"fitted widths: sigma_A = {_sig(config.sigma_ax)} (circular),"

@@ -11,14 +11,21 @@ Three data families ship with the package:
 
 Loaders validate every row through the owning module's types, so a dataset
 that loads has already passed the model invariants. Parse errors carry the
-1-based line number of the offending CSV row.
+1-based line number of the offending CSV row. A membership table also loads
+as columns (``load_membership_columns``): the weights parse straight into
+float arrays, and only text that fails there goes through the per-row
+validator for its error.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from itertools import repeat
+
+import numpy as np
 
 from ..classicality import CONNECTIVES, MembershipTriple
 from ..disjunction_model import ExemplarRow
@@ -103,7 +110,33 @@ def _read_text(path):
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def parse_membership_csv(text, source="<membership csv>"):
+@dataclass(frozen=True)
+class MembershipColumns:
+    """A membership table by column, in file order: names as lists of str,
+    weights as float64 arrays."""
+
+    exemplar: list
+    concept_a: list
+    concept_b: list
+    mu_a: np.ndarray
+    mu_b: np.ndarray
+    mu_joint: np.ndarray
+    connective: list
+
+    def __len__(self):
+        return len(self.connective)
+
+    def take(self, index):
+        """The rows at the positions in ``index``, in that order."""
+        def pick(names):
+            return [names[i] for i in index]
+
+        return MembershipColumns(pick(self.exemplar), pick(self.concept_a), pick(self.concept_b),
+                                 self.mu_a[index], self.mu_b[index], self.mu_joint[index],
+                                 pick(self.connective))
+
+
+def _membership_rows(text, source):
     rows, header_seen = [], False
     for lineno, fields in _iter_csv_rows(text, source):
         if not header_seen:
@@ -134,9 +167,81 @@ def parse_membership_csv(text, source="<membership csv>"):
     return rows
 
 
-def load_membership_csv(path):
+def _membership_fast(text):
+    """The columns of a table with no quote, comment or blank line after its
+    header and exactly 6 commas per row, all values valid; else None.
+
+    The body is split on commas in one pass, and each weight goes through
+    Python's ``float`` as in ``_parse_float`` (numpy's string cast accepts
+    other text). Anything this declines goes to the per-row loop, which
+    gives the same columns or the error.
+    """
+    if '"' in text:
+        return None
+    lines = text.splitlines()
+    for start, raw in enumerate(lines):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            break
+    else:
+        return None
+    if [f.strip() for f in lines[start].split(",")] != list(MEMBERSHIP_HEADER):
+        return None
+    body = lines[start + 1:]
+    joined = ",".join(body)
+    if "#" in joined or set(map(str.count, body, repeat(","))) - {6}:
+        return None
+    fields = joined.split(",") if body else []
+    n = len(body)
+    try:
+        mu = [np.fromiter(map(float, fields[i::7]), float, n) for i in (3, 4, 5)]
+    except ValueError:
+        return None
+    if not all(((col >= 0.0) & (col <= 1.0)).all() for col in mu):
+        return None
+    exemplar, concept_a, concept_b, connective = (
+        list(map(str.strip, fields[i::7])) for i in (0, 1, 2, 6))
+    if not set(connective) <= set(CONNECTIVES):
+        return None
+    return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
+
+
+def parse_membership_columns(text, source="<membership csv>"):
+    """Parse a membership-weight CSV into validated columns.
+
+    Errors are those of the per-row loop: a ``DataError`` with the line
+    and, where one is at fault, the column.
+    """
+    columns = _membership_fast(text)
+    if columns is None:
+        rows = _membership_rows(text, source)
+        columns = MembershipColumns(
+            *([getattr(r, f) for r in rows] for f in ("exemplar", "concept_a", "concept_b")),
+            *(np.array([getattr(r, f) for r in rows], dtype=float)
+              for f in ("mu_a", "mu_b", "mu_joint")),
+            [r.connective for r in rows])
+    return columns
+
+
+def load_membership_columns(path):
+    """Parse a membership-weight CSV file into validated columns."""
+    return parse_membership_columns(_read_text(path), source=str(path))
+
+
+def _triples(columns):
+    return list(map(MembershipTriple, columns.exemplar, columns.concept_a, columns.concept_b,
+                    columns.mu_a.tolist(), columns.mu_b.tolist(), columns.mu_joint.tolist(),
+                    columns.connective))
+
+
+def parse_membership_csv(text, source="<membership csv>"):
     """Parse a membership-weight CSV into validated triples."""
-    return parse_membership_csv(_read_text(path), source=str(path))
+    return _triples(parse_membership_columns(text, source))
+
+
+def load_membership_csv(path):
+    """Parse a membership-weight CSV file into validated triples."""
+    return _triples(load_membership_columns(path))
 
 
 def parse_exemplar_csv(text, source="<exemplar csv>"):
@@ -268,12 +373,26 @@ def _load_animal_acts(counts=False):
                                        outcome_names=ANIMAL_ACTS_OUTCOMES))
 
 
-def _load_table3(connective=None):
-    rows = parse_membership_csv(_bundled_text("hampton_membership.csv"),
-                                source="hampton_membership.csv")
-    if connective is not None:
-        rows = [r for r in rows if r.connective == connective]
-    return tuple(rows)
+# the Table 3 views: dataset id -> the connective whose rows it keeps (None: all)
+_TABLE3_VIEWS = {
+    "hampton-table3": None,
+    "hampton-table3-disjunction": "or",
+    "hampton-table3-conjunction": "and",
+}
+
+
+def membership_dataset_columns(dataset_id):
+    """The rows of a bundled membership dataset (a Table 3 view) as columns."""
+    connective = _TABLE3_VIEWS[dataset_id]
+    columns = parse_membership_columns(_bundled_text("hampton_membership.csv"),
+                                       source="hampton_membership.csv")
+    if connective is None:
+        return columns
+    return columns.take([i for i, c in enumerate(columns.connective) if c == connective])
+
+
+def _load_table3(dataset_id):
+    return tuple(_triples(membership_dataset_columns(dataset_id)))
 
 
 def _load_table2():
@@ -281,25 +400,14 @@ def _load_table2():
                                     source="fruits_vegetables.csv"))
 
 
+# dataset id -> (kind, provenance, notes, loader of its rows)
 _REGISTRY = {
-    "animal-acts-table1": lambda: Dataset(
-        "animal-acts-table1", _PROV_ANIMAL, "coincidence",
-        _load_animal_acts(), _NOTES_ANIMAL_ACTS),
-    "animal-acts-table1-counts": lambda: Dataset(
-        "animal-acts-table1-counts", _PROV_ANIMAL, "coincidence",
-        _load_animal_acts(counts=True), _NOTES_ANIMAL_ACTS_COUNTS),
-    "fruits-vegetables-table2": lambda: Dataset(
-        "fruits-vegetables-table2", _PROV_TABLE2, "exemplar",
-        _load_table2(), _NOTES_TABLE2),
-    "hampton-table3": lambda: Dataset(
-        "hampton-table3", _PROV_TABLE3, "membership",
-        _load_table3(), _NOTES_TABLE3),
-    "hampton-table3-disjunction": lambda: Dataset(
-        "hampton-table3-disjunction", _PROV_TABLE3, "membership",
-        _load_table3("or"), _NOTES_TABLE3),
-    "hampton-table3-conjunction": lambda: Dataset(
-        "hampton-table3-conjunction", _PROV_TABLE3, "membership",
-        _load_table3("and"), _NOTES_TABLE3),
+    "animal-acts-table1": ("coincidence", _PROV_ANIMAL, _NOTES_ANIMAL_ACTS, _load_animal_acts),
+    "animal-acts-table1-counts": ("coincidence", _PROV_ANIMAL, _NOTES_ANIMAL_ACTS_COUNTS,
+                                  partial(_load_animal_acts, counts=True)),
+    "fruits-vegetables-table2": ("exemplar", _PROV_TABLE2, _NOTES_TABLE2, _load_table2),
+    **{view: ("membership", _PROV_TABLE3, _NOTES_TABLE3, partial(_load_table3, view))
+       for view in _TABLE3_VIEWS},
 }
 
 
@@ -307,14 +415,23 @@ def dataset_ids():
     return sorted(_REGISTRY)
 
 
-def load_dataset(dataset_id: str) -> Dataset:
-    """Load and validate one bundled dataset by id."""
+def _entry(dataset_id: str):
     try:
-        build = _REGISTRY[dataset_id]
+        return _REGISTRY[dataset_id]
     except KeyError:
         known = ", ".join(dataset_ids())
         raise DataError(f"unknown dataset {dataset_id!r}; bundled: {known}") from None
-    return build()
+
+
+def dataset_kind(dataset_id: str) -> str:
+    """The kind of rows a bundled dataset holds (membership, exemplar or coincidence)."""
+    return _entry(dataset_id)[0]
+
+
+def load_dataset(dataset_id: str) -> Dataset:
+    """Load and validate one bundled dataset by id."""
+    kind, provenance, notes, build = _entry(dataset_id)
+    return Dataset(dataset_id, provenance, kind, build(), notes)
 
 
 def list_datasets():

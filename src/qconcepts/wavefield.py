@@ -429,8 +429,9 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
     }
 
 
-def atomic_write(path, data: bytes):
-    """Write bytes to a temp file beside ``path``, then rename it into place.
+def atomic_write(path, chunks):
+    """Write a sequence of byte chunks to a temp file beside ``path``, then
+    rename it into place.
 
     The file gets mode 0o666 less the process umask, as ``open()`` would
     give it. An OSError becomes a ModelError naming the path; no temp file
@@ -441,7 +442,7 @@ def atomic_write(path, data: bytes):
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".tmp-out-")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         # mkstemp creates 0o600; the umask can only be read by setting it
         umask = os.umask(0o077)
         os.umask(umask)
@@ -473,7 +474,7 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
         lines = ["x,y,value\n"]
         for y, row in zip(ys.tolist(), pattern.values):
             lines.append(f"{y:.9g},".join(pieces) % tuple(row.tolist()))
-        atomic_write(path, "".join(lines).encode())
+        atomic_write(path, ["".join(lines).encode()])
         return [path]
     if fmt == "pgm":
         values = pattern.values
@@ -486,7 +487,7 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
                 rows = slice(start, start + step)
                 norm[rows] = np.round((values[rows] - vmin) / (vmax - vmin) * 65535.0)
         header = f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode()
-        atomic_write(path, header + norm.tobytes())
+        atomic_write(path, [header, memoryview(norm)])
         sidecar = path + ".json"
         meta = {
             "kind": pattern.kind.value,
@@ -498,6 +499,6 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
             "rows": "ascending y",
             "clamp_count": pattern.clamp_count,
         }
-        atomic_write(sidecar, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
+        atomic_write(sidecar, [(json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()])
         return [path, sidecar]
     raise ModelError(f"unknown export format {fmt!r}")

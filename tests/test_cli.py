@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qconcepts import classicality, datasets
+from qconcepts import classicality, cli, datasets, disjunction_model
 
 COUNTS_CSV = """\
 experiment,outcome11,outcome12,outcome21,outcome22
@@ -168,11 +172,33 @@ def _reference_classicality(triples):
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-@pytest.mark.parametrize("source", ["hampton-table3", "no-rows", "odd-names"])
+def _large_membership_rows(quoted):
+    """5000 seeded rows drawing names and weights from small pools, as a survey
+    table repeats them; with ``quoted`` some names need CSV quotes."""
+    rng = np.random.default_rng(23)
+    names = ["Mint", "Root Ginger", "Synagoge", "Deck Chair", "é日", "a\\b"]
+    if quoted:
+        names += ["Tomato, cherry", 'Say "hi"']
+    weights = [repr(round(x, 4)) for x in rng.random(40).tolist()] + [
+        "0.0", "-0.0", "1.0", "1e-05", "5e-324", repr(0.1 + 0.2)]
+    pick = rng.integers(0, [len(names)] * 3 + [len(weights)] * 3 + [2], size=(5000, 7))
+    return [[names[i] for i in p[:3]] + [weights[i] for i in p[3:6]] + [("and", "or")[p[6]]]
+            for p in pick.tolist()]
+
+
+@pytest.mark.parametrize("source", ["hampton-table3", "no-rows", "odd-names",
+                                    "table-5000", "table-5000-quoted"])
 def test_classicality_outputs_match_json_dumps_and_csv_writer(run_cli, tmp_path, source):
     if source == "hampton-table3":
         args = ("--dataset", source)
         triples = datasets.load_dataset(source).rows
+    elif source.startswith("table-5000"):
+        rows = _large_membership_rows(quoted=source.endswith("quoted"))
+        path = tmp_path / "in.csv"
+        path.write_text(_membership_input(rows), encoding="utf-8")
+        args = ("--input", path)
+        triples = [classicality.MembershipTriple(*r[:3], *map(float, r[3:6]), r[6])
+                   for r in rows]
     else:
         path = tmp_path / "in.csv"
         path.write_text(_membership_input(_odd_membership_rows() if source == "odd-names"
@@ -191,8 +217,27 @@ def test_classicality_outputs_match_json_dumps_and_csv_writer(run_cli, tmp_path,
     if source == "hampton-table3":
         # no bundled name needs quoting, so the CSV is the plain comma join
         assert '"' not in got_csv
-    if source == "odd-names":
+    if source in ("odd-names", "table-5000-quoted"):
         assert "1e-05" in got_csv and "-0.0" in got_csv and '"' in got_csv
+
+
+_float_pool = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                               -1e16, 1e-05, 0.1 + 0.2, math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, deadline=None)
+@given(values=st.lists(st.one_of(_float_pool, _float_pool, st.floats()), max_size=40))
+@example(values=[0.0, -0.0, 0.0, 5e-324, -5e-324, 1e16, -0.0, 1e-05])
+@example(values=[-0.0, 0.0, math.nan, math.inf, -math.inf, 0.0])
+def test_memoised_float_text_equals_json_floats(values):
+    want = cli._json_floats(values)
+    assert want == [json.dumps(v) for v in values]
+    assert cli._json_float_column(np.array(values, dtype=float)) == want
+    # a strided view, as the parts of a complex vector are
+    assert cli._json_float_column(np.array(values, dtype=complex).real) == want
+    finite = [v for v in values if math.isfinite(v)]
+    assert cli._json_float_column(np.array(finite + finite[::-1])) == \
+        cli._json_floats(finite + finite[::-1])
 
 
 def test_classicality_csv_quotes_fields_that_need_it(run_cli, tmp_path):
@@ -213,9 +258,38 @@ def test_classicality_csv_quotes_fields_that_need_it(run_cli, tmp_path):
                            repr(r.interference_need), "true", "None"]
 
 
-@pytest.mark.parametrize("source", ["table2", "table2-vectors", "searched-signs"])
-def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path, source):
-    if source == "searched-signs":
+def _with_signed_zero_imaginary_parts(build, built):
+    """build_model, then every 7th component of vector B gets imaginary part -0.0;
+    each model returned is appended to ``built``."""
+    def wrapped(rows):
+        model = build(rows)
+        vector_b = model.vector_b.copy()
+        vector_b.imag[::7] = -0.0
+        built.append(dataclasses.replace(model, vector_b=vector_b))
+        return built[-1]
+    return wrapped
+
+
+@pytest.mark.parametrize("source", ["table2", "table2-vectors", "searched-signs",
+                                    "vectors-3000"])
+def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path, monkeypatch,
+                                                              source):
+    n_rows = {"searched-signs": 40, "vectors-3000": 3000}.get(source, 24)
+    if source == "vectors-3000":
+        rng = np.random.default_rng(8)
+        mu_a, mu_b = rng.dirichlet(np.ones(3000)), rng.dirichlet(np.ones(3000))
+        phi = rng.uniform(-np.pi, np.pi, 3000)
+        mu_or = 0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * np.cos(phi)
+        path = tmp_path / "x.csv"
+        path.write_text("index,name,muA,muB,muAorB,phi_deg\n" + "".join(
+            f"{i + 1},x{i},{a!r},{b!r},{o!r},{p!r}\n" for i, (a, b, o, p) in enumerate(zip(
+                mu_a.tolist(), mu_b.tolist(), mu_or.tolist(), np.degrees(phi).tolist()))))
+        args = ["--input", path, "--emit-vectors"]
+        # the model itself never yields -0.0 (a real times e^{i phi} adds +0.0), so
+        # put some in to pin that the encoder keeps them apart from 0.0
+        monkeypatch.setattr(disjunction_model, "build_model", _with_signed_zero_imaginary_parts(
+            disjunction_model.build_model, built := []))
+    elif source == "searched-signs":
         rng = np.random.default_rng(5)
         mu_a, mu_b = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40))
         mu_or = 0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * np.cos(rng.uniform(0, np.pi, 40))
@@ -232,7 +306,16 @@ def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert len(payload["rows"]) == (40 if source == "searched-signs" else 24)
+    assert len(payload["rows"]) == n_rows
+    if source == "vectors-3000":
+        vectors = {label: [[z.real, z.imag] for z in vec.tolist()]
+                   for label, vec in (("A", built[0].vector_a), ("B", built[0].vector_b))}
+        assert payload["vectors"] == vectors
+        signs = [[math.copysign(1.0, x) for pair in vectors[label] for x in pair]
+                 for label in ("A", "B")]
+        assert [[math.copysign(1.0, x) for pair in payload["vectors"][label] for x in pair]
+                for label in ("A", "B")] == signs
+        assert any(im == 0.0 and math.copysign(1.0, im) < 0 for _, im in vectors["B"])
 
 
 def test_classicality_dataset_kind_mismatch_errors(run_cli):

@@ -6,22 +6,28 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qconcepts.classicality import MembershipTriple
 from qconcepts.datasets import (
     ANIMAL_ACTS_OUTCOMES,
+    MEMBERSHIP_HEADER,
     _iter_csv_rows,
+    _membership_fast,
+    _triples,
     dataset_file_bytes,
     dataset_ids,
     list_datasets,
     load_dataset,
     load_membership_csv,
+    membership_dataset_columns,
     parse_coincidence_csv,
     parse_exemplar_csv,
+    parse_membership_columns,
     parse_membership_csv,
 )
-from qconcepts.errors import DataError
+from qconcepts.errors import DataError, ModelError
 
 MEMBERSHIP_TEXT = """\
 exemplar,conceptA,conceptB,muA,muB,muJoint,connective
@@ -247,3 +253,140 @@ _csv_pieces = st.sampled_from(['a', 'b c', ',', '"', '""', '"x,y"', '\r', '\n', 
 def test_comma_split_matches_the_per_line_csv_reader(text):
     assert _rows_then_error(_iter_csv_rows(text, "t.csv")) == \
         _rows_then_error(_reference_iter_csv_rows(text, "t.csv"))
+
+
+# ------------------------------------------- columnar parse against the per-row loop
+
+def _reference_membership(text, source):
+    """The per-row membership parser the columnar one replaces: one validated
+    MembershipTriple per row, each line through its own csv.reader."""
+    rows, header_seen = [], False
+    for lineno, fields in _reference_iter_csv_rows(text, source):
+        if not header_seen:
+            if fields != list(MEMBERSHIP_HEADER):
+                raise DataError(f"{source}: expected header {','.join(MEMBERSHIP_HEADER)}"
+                                f", got {','.join(fields)}", line=lineno)
+            header_seen = True
+            continue
+        if len(fields) != 7:
+            raise DataError(f"{source}: expected 7 fields, got {len(fields)}", line=lineno)
+        if fields[6] not in ("and", "or"):
+            raise DataError(f"{source}: connective must be one of ('and', 'or'),"
+                            f" got {fields[6]!r}", line=lineno, column="connective")
+        values = []
+        for i in (3, 4, 5):
+            try:
+                values.append(float(fields[i]))
+            except ValueError:
+                raise DataError(f"{source}: {MEMBERSHIP_HEADER[i]} is not a number:"
+                                f" {fields[i]!r}", line=lineno,
+                                column=MEMBERSHIP_HEADER[i]) from None
+        try:
+            rows.append(MembershipTriple(*fields[:3], *values, fields[6]))
+        except ModelError as exc:
+            raise DataError(f"{source}: {exc}", line=lineno) from exc
+    if not header_seen:
+        raise DataError(f"{source}: missing header row")
+    return rows
+
+
+def _columns_or_error(parse, text):
+    """The parsed columns, weights as float.hex, or the error's message, line and column."""
+    try:
+        cols = parse(text, "t.csv")
+    except DataError as exc:
+        return str(exc), exc.line, exc.column
+    if isinstance(cols, list):
+        cols = [[getattr(r, f) for r in cols] for f in (
+            "exemplar", "concept_a", "concept_b", "mu_a", "mu_b", "mu_joint", "connective")]
+    else:
+        cols = [cols.exemplar, cols.concept_a, cols.concept_b,
+                cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective]
+    assert all(type(v) is float for col in cols[3:6] for v in col)
+    return cols[:3] + [[v.hex() for v in col] for col in cols[3:6]] + cols[6:]
+
+
+_plain_names = st.sampled_from(["Mint", "Root Ginger", " padded\t", "é日☃", "", "and"])
+# '\x1c' breaks a line for str.splitlines
+_names = st.one_of(_plain_names, st.sampled_from(
+    ["x#y", "\x1cA", '"Tomato, cherry"', '"Say ""hi"""', '"open']))
+# valid weights: signed zero, exponent form, subnormals, padding, underscores
+_valid_weights = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.0", "0.0", "1e-05", "5e-324",
+                     "2.2250738585072014e-308", " 0.25 ", "\t0.75", "0.2_5", "١"]),
+    st.floats(0.0, 1.0).map(repr))
+# and cells that fail: non-finite, out of range, not a number (or one only to
+# numpy's string cast), a bad connective, quoting
+_bad_cells = st.sampled_from(["nan", "-inf", "1e309", "1_0", "1.5", "-0.2", "x", "", "0.5\x00",
+                              "\x1c0.5", "0,5", "nor", "AND", '"q"', '"open', "a\rb"])
+_weights = st.one_of(_valid_weights, _bad_cells)
+_plain_row = st.tuples(_plain_names, _plain_names, _plain_names, _valid_weights,
+                       _valid_weights, _valid_weights, st.sampled_from(["and", "or", " or "]))
+_row = st.one_of(
+    st.tuples(_names, _names, _names, _weights, _weights, _weights,
+              st.sampled_from(["and", "or", " or ", "nor", "AND"])),
+    st.lists(st.one_of(_names, _weights), min_size=6, max_size=8).map(tuple),
+).map(",".join)
+# lines the per-row loop skips or rejects; some hold 6 commas, as a row does
+_odd_lines = st.sampled_from(["", "   ", "# comment", "#,a,b,c,d,e,f", "# A,B,C,0.5,0.5,0.5,and",
+                              " #A,B,C,0.5,0.5,0.5,or", "A,B,C,0.5,0.5,and",
+                              "A,B,C,0.5,0.5,0.5,and,x", ' "unterminated', "\x00"])
+_breaks = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x85", " "])
+_header = st.sampled_from([",".join(MEMBERSHIP_HEADER), " " + ",".join(MEMBERSHIP_HEADER),
+                           "# provenance\n" + ",".join(MEMBERSHIP_HEADER),
+                           ",".join(MEMBERSHIP_HEADER[:6]), ""])
+
+
+@st.composite
+def _membership_text(draw):
+    """A valid table, the same with a cell or line spoiled, or fuzzed text."""
+    mode = draw(st.sampled_from(["plain", "spoiled", "fuzzed"]))
+    if mode == "fuzzed":
+        lines = [draw(_header), *draw(st.lists(st.one_of(_row, _row, _odd_lines), max_size=8))]
+        return "".join(line + draw(_breaks) for line in lines)
+    rows = draw(st.lists(_plain_row.map(list), min_size=mode == "spoiled", max_size=8))
+    lines = [",".join(row) for row in rows]
+    if mode == "spoiled":
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i][draw(st.integers(0, 6))] = draw(_bad_cells)
+            lines[i] = ",".join(rows[i])
+        else:
+            lines.insert(i, draw(_odd_lines))
+    return "".join(line + "\n" for line in [",".join(MEMBERSHIP_HEADER), *lines])
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(text=_membership_text())
+# a 6-field row then an 8-field one: 14 fields in all, split into two 7-field rows
+@example(text=",".join(MEMBERSHIP_HEADER) + "\nA,B,C,0.5,0.5,0.5\nand,D,E,F,0.5,0.5,0.5,or\n")
+@example(text=",".join(MEMBERSHIP_HEADER) + "\nA,B,C,-0.0,0.0,5e-324,or\nD,E,F,1e-05,1,0,and\n")
+# numpy's string cast drops a trailing NUL; float() rejects it
+@example(text=",".join(MEMBERSHIP_HEADER) + "\nA,B,C,0.5\x00,0.5,0.5,and\n")
+def test_columnar_membership_parse_matches_the_per_row_loop(text):
+    assert _columns_or_error(parse_membership_columns, text) == \
+        _columns_or_error(_reference_membership, text)
+    assert _columns_or_error(parse_membership_csv, text) == \
+        _columns_or_error(_reference_membership, text)
+
+
+def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest():
+    header = ",".join(MEMBERSHIP_HEADER)
+    plain = f"# note\n\n{header}\nMint,Food,Plant,0.87,0.81,0.9,and\n A ,B,C,-0.0, 1e-05 ,0,or\n"
+    cols = _membership_fast(plain)
+    assert cols is not None and len(cols) == 2
+    assert cols.exemplar == ["Mint", "A"] and cols.mu_a[1].hex() == "-0x0.0p+0"
+    assert _membership_fast(header) is not None
+    for body in ('"Mint",Food,Plant,0.87,0.81,0.9,and', "Mint,Food,Plant,0.87,0.81,0.9,and\n#",
+                 "Mint,Food,Plant,0.87,0.81,and\nA,B,C,0.5,0.5,0.5,or,x",
+                 "Mint,Food,Plant,1_0,0.81,0.9,and", "Mint,Food,Plant,0.87,0.81,0.9\x00,and"):
+        assert _membership_fast(f"{header}\n{body}\n") is None
+
+
+def test_membership_dataset_columns_match_the_per_row_loop():
+    text = dataset_file_bytes("hampton-table3").decode("utf-8")
+    rows = _reference_membership(text, "hampton_membership.csv")
+    for view, keep in (("hampton-table3", ("and", "or")), ("hampton-table3-disjunction", ("or",)),
+                       ("hampton-table3-conjunction", ("and",))):
+        assert _triples(membership_dataset_columns(view)) == \
+            [r for r in rows if r.connective in keep]
