@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, check_unit_interval
-
 # slack for comparisons against zero; the weights are survey frequencies,
 # so ties at the boundary are common and must not flip on rounding noise
 ZERO_SLACK = 1e-12
@@ -38,24 +36,6 @@ class ExtensionClass(enum.Enum):
     DOUBLE_OVEREXTENDED = "DoubleOverextended"
     UNDEREXTENDED = "Underextended"
     DOUBLE_UNDEREXTENDED = "DoubleUnderextended"
-
-
-@dataclass(frozen=True)
-class MembershipTriple:
-    """One exemplar's weights for two concepts and their combination."""
-
-    exemplar: str
-    concept_a: str
-    concept_b: str
-    mu_a: float
-    mu_b: float
-    mu_joint: float
-    connective: str
-
-    def __post_init__(self):
-        if self.connective not in CONNECTIVES:
-            raise ModelError(f"connective must be one of {CONNECTIVES}, got {self.connective!r}")
-        check_unit_interval((("muA", self.mu_a), ("muB", self.mu_b), ("muJoint", self.mu_joint)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +118,3 @@ def disjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float,
     """Diagnostics for mu(A or B) against its components."""
     return _one_row(mu_a, mu_b, mu_joint, False, slack)
 
-
-def diagnose(triple: MembershipTriple, slack: float = ZERO_SLACK) -> ClassicalityReport:
-    return _one_row(triple.mu_a, triple.mu_b, triple.mu_joint, triple.connective == "and",
-                    slack)

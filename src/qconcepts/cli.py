@@ -150,19 +150,16 @@ def _emit(args, payload: dict, human_lines, encoded=None):
             print(line)
 
 
-def _check_dataset_kind(dataset_id: str, kind: str):
-    held = datasets.dataset_kind(dataset_id)
-    if held != kind:
-        raise ModelError(
-            f"dataset {dataset_id!r} holds {held} rows; this command needs {kind} rows")
-
-
 def _dataset_rows(args, kind: str):
     """Rows from --input or --dataset, checked against the expected payload kind."""
     if getattr(args, "dataset", None):
-        _check_dataset_kind(args.dataset, kind)
-        return list(datasets.load_dataset(args.dataset).rows)
+        held = datasets.dataset_kind(args.dataset)
+        if held != kind:
+            raise ModelError(
+                f"dataset {args.dataset!r} holds {held} rows; this command needs {kind} rows")
+        return datasets.load_dataset(args.dataset).rows
     loader = {
+        "membership": datasets.load_membership_csv,
         "exemplar": datasets.load_exemplar_csv,
         "coincidence": datasets.load_coincidence_csv,
     }[kind]
@@ -179,11 +176,7 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_classicality(args, argv) -> int:
-    if getattr(args, "dataset", None):
-        _check_dataset_kind(args.dataset, "membership")
-        table = datasets.membership_dataset_columns(args.dataset)
-    else:
-        table = datasets.load_membership_columns(args.input)
+    table = _dataset_rows(args, "membership")
     names, connective = table.exemplar, table.connective
     is_and = np.array([c == "and" for c in connective], dtype=bool)
     diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, is_and)

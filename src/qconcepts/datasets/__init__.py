@@ -9,12 +9,14 @@ Three data families ship with the package:
 * ``hampton-table3`` (and per-connective views): Hampton (1988a,b)
   membership weights for exemplars of eight concept pairs.
 
-Loaders validate every row through the owning module's types, so a dataset
-that loads has already passed the model invariants. Parse errors carry the
-1-based line number of the offending CSV row. A membership table also loads
-as columns (``load_membership_columns``): the weights parse straight into
-float arrays, and only text that fails there goes through the per-row
-validator for its error.
+Every CSV parses through one row loop that checks the header and the field
+count and gives each ``DataError`` the 1-based line number (and, where one
+is at fault, the column) of the offending row. Exemplar and coincidence
+rows are validated through the owning module's types, so a dataset that
+loads has already passed the model invariants. A membership table loads as
+``MembershipColumns``: a plain table splits on commas in one pass and its
+weights parse straight into float arrays; any other text goes through the
+row loop, which gives the same columns or the error.
 """
 from __future__ import annotations
 
@@ -27,10 +29,10 @@ from itertools import repeat
 
 import numpy as np
 
-from ..classicality import CONNECTIVES, MembershipTriple
+from ..classicality import CONNECTIVES
 from ..disjunction_model import ExemplarRow
-from ..entanglement import CoincidenceTable, coincidence_from_values
-from ..errors import DataError, ModelError
+from ..entanglement import DEFAULT_OUTCOME_NAMES, coincidence_from_values
+from ..errors import DataError, ModelError, check_unit_interval
 
 MEMBERSHIP_HEADER = ("exemplar", "conceptA", "conceptB", "muA", "muB", "muJoint", "connective")
 EXEMPLAR_HEADER = ("index", "name", "muA", "muB", "muAorB")
@@ -47,12 +49,16 @@ ANIMAL_ACTS_OUTCOMES = {
 
 @dataclass(frozen=True)
 class Dataset:
-    """A bundled table: identifier, citation, validated rows, and caveats."""
+    """A bundled table: identifier, citation, validated rows, and caveats.
+
+    ``rows`` is a ``MembershipColumns`` for a membership table and a tuple
+    of ``ExemplarRow`` or ``CoincidenceTable`` for the other kinds.
+    """
 
     id: str
     provenance: str
     kind: str                 # membership | exemplar | coincidence
-    rows: tuple
+    rows: tuple | MembershipColumns
     notes: tuple
 
 
@@ -90,14 +96,39 @@ def _check_header(fields, expected, optional, source, lineno):
     )
 
 
-def _parse_float(fields, idx, names, source, lineno):
+def _parse_float(fields, names, idx):
     try:
         return float(fields[idx])
     except ValueError:
-        raise DataError(
-            f"{source}: {names[idx]} is not a number: {fields[idx]!r}",
-            line=lineno, column=names[idx],
-        ) from None
+        raise DataError(f"{names[idx]} is not a number: {fields[idx]!r}",
+                        column=names[idx]) from None
+
+
+def _table(text, source, header, build, optional=None):
+    """The list of ``build(fields, number)`` over the data rows of a CSV table.
+
+    The first row must be ``header``, or ``header`` then ``optional``; every
+    later row must have as many fields as it. ``number(i)`` parses field i
+    as a float. A ``ModelError`` from ``build`` becomes a ``DataError`` that
+    carries the line, and the column if the error named one.
+    """
+    rows, names = [], None
+    for lineno, fields in _iter_csv_rows(text, source):
+        if names is None:
+            has_optional = _check_header(fields, header, optional, source, lineno)
+            names = header + ((optional,) if has_optional else ())
+            continue
+        if len(fields) != len(names):
+            raise DataError(f"{source}: expected {len(names)} fields, got {len(fields)}",
+                            line=lineno)
+        try:
+            rows.append(build(fields, partial(_parse_float, fields, names)))
+        except ModelError as exc:
+            raise DataError(f"{source}: {exc}", line=lineno,
+                            column=getattr(exc, "column", None)) from exc
+    if names is None:
+        raise DataError(f"{source}: missing header row")
+    return rows
 
 
 def _read_text(path):
@@ -137,34 +168,19 @@ class MembershipColumns:
 
 
 def _membership_rows(text, source):
-    rows, header_seen = [], False
-    for lineno, fields in _iter_csv_rows(text, source):
-        if not header_seen:
-            _check_header(fields, MEMBERSHIP_HEADER, None, source, lineno)
-            header_seen = True
-            continue
-        if len(fields) != len(MEMBERSHIP_HEADER):
-            raise DataError(
-                f"{source}: expected {len(MEMBERSHIP_HEADER)} fields, got {len(fields)}",
-                line=lineno,
-            )
+    """The columns of any membership table, one row at a time, or its error."""
+    def row(fields, number):
         if fields[6] not in CONNECTIVES:
-            raise DataError(
-                f"{source}: connective must be one of {CONNECTIVES}, got {fields[6]!r}",
-                line=lineno, column="connective",
-            )
-        values = [_parse_float(fields, i, MEMBERSHIP_HEADER, source, lineno) for i in (3, 4, 5)]
-        try:
-            rows.append(MembershipTriple(
-                exemplar=fields[0], concept_a=fields[1], concept_b=fields[2],
-                mu_a=values[0], mu_b=values[1], mu_joint=values[2],
-                connective=fields[6],
-            ))
-        except ModelError as exc:
-            raise DataError(f"{source}: {exc}", line=lineno) from exc
-    if not header_seen:
-        raise DataError(f"{source}: missing header row")
-    return rows
+            raise DataError(f"connective must be one of {CONNECTIVES}, got {fields[6]!r}",
+                            column="connective")
+        mu = [number(i) for i in (3, 4, 5)]
+        check_unit_interval(zip(("muA", "muB", "muJoint"), mu))
+        return (*fields[:3], *mu, fields[6])
+
+    rows = _table(text, source, MEMBERSHIP_HEADER, row)
+    cols = [list(col) for col in zip(*rows)] if rows else [[] for _ in MEMBERSHIP_HEADER]
+    return MembershipColumns(*cols[:3], *(np.array(col, dtype=float) for col in cols[3:6]),
+                             cols[6])
 
 
 def _membership_fast(text):
@@ -206,70 +222,33 @@ def _membership_fast(text):
     return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
 
 
-def parse_membership_columns(text, source="<membership csv>"):
+def parse_membership_csv(text, source="<membership csv>"):
     """Parse a membership-weight CSV into validated columns.
 
-    Errors are those of the per-row loop: a ``DataError`` with the line
-    and, where one is at fault, the column.
+    A plain table parses in one comma split; any other text goes through
+    the per-row loop, whose ``DataError`` carries the line and, where one
+    is at fault, the column.
     """
     columns = _membership_fast(text)
-    if columns is None:
-        rows = _membership_rows(text, source)
-        columns = MembershipColumns(
-            *([getattr(r, f) for r in rows] for f in ("exemplar", "concept_a", "concept_b")),
-            *(np.array([getattr(r, f) for r in rows], dtype=float)
-              for f in ("mu_a", "mu_b", "mu_joint")),
-            [r.connective for r in rows])
-    return columns
-
-
-def load_membership_columns(path):
-    """Parse a membership-weight CSV file into validated columns."""
-    return parse_membership_columns(_read_text(path), source=str(path))
-
-
-def _triples(columns):
-    return list(map(MembershipTriple, columns.exemplar, columns.concept_a, columns.concept_b,
-                    columns.mu_a.tolist(), columns.mu_b.tolist(), columns.mu_joint.tolist(),
-                    columns.connective))
-
-
-def parse_membership_csv(text, source="<membership csv>"):
-    """Parse a membership-weight CSV into validated triples."""
-    return _triples(parse_membership_columns(text, source))
+    return _membership_rows(text, source) if columns is None else columns
 
 
 def load_membership_csv(path):
-    """Parse a membership-weight CSV file into validated triples."""
-    return _triples(load_membership_columns(path))
+    """Parse a membership-weight CSV file into validated columns."""
+    return parse_membership_csv(_read_text(path), source=str(path))
+
+
+def _exemplar_row(fields, number):
+    try:
+        index = int(fields[0])
+    except ValueError:
+        raise DataError(f"index is not an integer: {fields[0]!r}", column="index") from None
+    return ExemplarRow(index, fields[1], number(2), number(3), number(4),
+                       number(5) if len(fields) == 6 else None)
 
 
 def parse_exemplar_csv(text, source="<exemplar csv>"):
-    rows, header_seen, has_phi = [], False, False
-    for lineno, fields in _iter_csv_rows(text, source):
-        if not header_seen:
-            has_phi = _check_header(fields, EXEMPLAR_HEADER, "phi_deg", source, lineno)
-            header_seen = True
-            continue
-        expected = len(EXEMPLAR_HEADER) + (1 if has_phi else 0)
-        if len(fields) != expected:
-            raise DataError(f"{source}: expected {expected} fields, got {len(fields)}", line=lineno)
-        try:
-            index = int(fields[0])
-        except ValueError:
-            raise DataError(f"{source}: index is not an integer: {fields[0]!r}",
-                            line=lineno, column="index") from None
-        names = EXEMPLAR_HEADER + ("phi_deg",)
-        values = [_parse_float(fields, i, names, source, lineno) for i in (2, 3, 4)]
-        phi = _parse_float(fields, 5, names, source, lineno) if has_phi else None
-        try:
-            rows.append(ExemplarRow(index=index, name=fields[1], mu_a=values[0],
-                                    mu_b=values[1], mu_a_or_b=values[2], phi_deg=phi))
-        except ModelError as exc:
-            raise DataError(f"{source}: {exc}", line=lineno) from exc
-    if not header_seen:
-        raise DataError(f"{source}: missing header row")
-    return rows
+    return _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg")
 
 
 def load_exemplar_csv(path):
@@ -278,30 +257,12 @@ def load_exemplar_csv(path):
 
 
 def parse_coincidence_csv(text, source="<coincidence csv>", outcome_names=None):
-    tables, header_seen = [], False
-    for lineno, fields in _iter_csv_rows(text, source):
-        if not header_seen:
-            _check_header(fields, COINCIDENCE_HEADER, None, source, lineno)
-            header_seen = True
-            continue
-        if len(fields) != len(COINCIDENCE_HEADER):
-            raise DataError(
-                f"{source}: expected {len(COINCIDENCE_HEADER)} fields, got {len(fields)}",
-                line=lineno,
-            )
-        values = [_parse_float(fields, i, COINCIDENCE_HEADER, source, lineno)
-                  for i in range(1, 5)]
-        names = (outcome_names or {}).get(fields[0])
-        try:
-            if names is None:
-                tables.append(coincidence_from_values(fields[0], values))
-            else:
-                tables.append(coincidence_from_values(fields[0], values, outcome_names=names))
-        except ModelError as exc:
-            raise DataError(f"{source}: {exc}", line=lineno) from exc
-    if not header_seen:
-        raise DataError(f"{source}: missing header row")
-    return tables
+    def block(fields, number):
+        names = (outcome_names or {}).get(fields[0], DEFAULT_OUTCOME_NAMES)
+        return coincidence_from_values(fields[0], [number(i) for i in range(1, 5)],
+                                       outcome_names=names)
+
+    return _table(text, source, COINCIDENCE_HEADER, block)
 
 
 def load_coincidence_csv(path, outcome_names=None):
@@ -312,27 +273,6 @@ def load_coincidence_csv(path, outcome_names=None):
 
 def _bundled_text(filename):
     return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
-
-
-# which shipped file backs each dataset id (for input digests in run manifests)
-DATASET_FILES = {
-    "animal-acts-table1": "animal_acts.csv",
-    "animal-acts-table1-counts": "animal_acts_counts.csv",
-    "fruits-vegetables-table2": "fruits_vegetables.csv",
-    "hampton-table3": "hampton_membership.csv",
-    "hampton-table3-disjunction": "hampton_membership.csv",
-    "hampton-table3-conjunction": "hampton_membership.csv",
-}
-
-
-def dataset_file_bytes(dataset_id: str) -> bytes:
-    """Raw bytes of the CSV backing a bundled dataset."""
-    try:
-        filename = DATASET_FILES[dataset_id]
-    except KeyError:
-        known = ", ".join(sorted(DATASET_FILES))
-        raise DataError(f"unknown dataset {dataset_id!r}; bundled: {known}") from None
-    return resources.files(__package__).joinpath(filename).read_bytes()
 
 
 _NOTES_ANIMAL_ACTS = (
@@ -367,47 +307,25 @@ _PROV_TABLE3 = ("Hampton (1988a,b) membership weights for exemplars of eight"
                 " concept pairs under conjunction and disjunction.")
 
 
-def _load_animal_acts(counts=False):
-    filename = "animal_acts_counts.csv" if counts else "animal_acts.csv"
-    return tuple(parse_coincidence_csv(_bundled_text(filename), source=filename,
-                                       outcome_names=ANIMAL_ACTS_OUTCOMES))
-
-
-# the Table 3 views: dataset id -> the connective whose rows it keeps (None: all)
-_TABLE3_VIEWS = {
-    "hampton-table3": None,
-    "hampton-table3-disjunction": "or",
-    "hampton-table3-conjunction": "and",
+# dataset id -> (kind, shipped file, provenance, notes, the connective whose
+# rows a Table 3 view keeps: None keeps every row)
+_REGISTRY = {
+    "animal-acts-table1": ("coincidence", "animal_acts.csv", _PROV_ANIMAL, _NOTES_ANIMAL_ACTS,
+                           None),
+    "animal-acts-table1-counts": ("coincidence", "animal_acts_counts.csv", _PROV_ANIMAL,
+                                  _NOTES_ANIMAL_ACTS_COUNTS, None),
+    "fruits-vegetables-table2": ("exemplar", "fruits_vegetables.csv", _PROV_TABLE2,
+                                 _NOTES_TABLE2, None),
+    **{view: ("membership", "hampton_membership.csv", _PROV_TABLE3, _NOTES_TABLE3, connective)
+       for view, connective in (("hampton-table3", None), ("hampton-table3-disjunction", "or"),
+                                ("hampton-table3-conjunction", "and"))},
 }
 
-
-def membership_dataset_columns(dataset_id):
-    """The rows of a bundled membership dataset (a Table 3 view) as columns."""
-    connective = _TABLE3_VIEWS[dataset_id]
-    columns = parse_membership_columns(_bundled_text("hampton_membership.csv"),
-                                       source="hampton_membership.csv")
-    if connective is None:
-        return columns
-    return columns.take([i for i, c in enumerate(columns.connective) if c == connective])
-
-
-def _load_table3(dataset_id):
-    return tuple(_triples(membership_dataset_columns(dataset_id)))
-
-
-def _load_table2():
-    return tuple(parse_exemplar_csv(_bundled_text("fruits_vegetables.csv"),
-                                    source="fruits_vegetables.csv"))
-
-
-# dataset id -> (kind, provenance, notes, loader of its rows)
-_REGISTRY = {
-    "animal-acts-table1": ("coincidence", _PROV_ANIMAL, _NOTES_ANIMAL_ACTS, _load_animal_acts),
-    "animal-acts-table1-counts": ("coincidence", _PROV_ANIMAL, _NOTES_ANIMAL_ACTS_COUNTS,
-                                  partial(_load_animal_acts, counts=True)),
-    "fruits-vegetables-table2": ("exemplar", _PROV_TABLE2, _NOTES_TABLE2, _load_table2),
-    **{view: ("membership", _PROV_TABLE3, _NOTES_TABLE3, partial(_load_table3, view))
-       for view in _TABLE3_VIEWS},
+# kind -> parser of a shipped file's text
+_PARSERS = {
+    "membership": parse_membership_csv,
+    "exemplar": parse_exemplar_csv,
+    "coincidence": partial(parse_coincidence_csv, outcome_names=ANIMAL_ACTS_OUTCOMES),
 }
 
 
@@ -423,6 +341,11 @@ def _entry(dataset_id: str):
         raise DataError(f"unknown dataset {dataset_id!r}; bundled: {known}") from None
 
 
+def dataset_file_bytes(dataset_id: str) -> bytes:
+    """Raw bytes of the CSV backing a bundled dataset."""
+    return resources.files(__package__).joinpath(_entry(dataset_id)[1]).read_bytes()
+
+
 def dataset_kind(dataset_id: str) -> str:
     """The kind of rows a bundled dataset holds (membership, exemplar or coincidence)."""
     return _entry(dataset_id)[0]
@@ -430,8 +353,12 @@ def dataset_kind(dataset_id: str) -> str:
 
 def load_dataset(dataset_id: str) -> Dataset:
     """Load and validate one bundled dataset by id."""
-    kind, provenance, notes, build = _entry(dataset_id)
-    return Dataset(dataset_id, provenance, kind, build(), notes)
+    kind, filename, provenance, notes, connective = _entry(dataset_id)
+    rows = _PARSERS[kind](_bundled_text(filename), source=filename)
+    if connective is not None:
+        rows = rows.take([i for i, c in enumerate(rows.connective) if c == connective])
+    return Dataset(dataset_id, provenance, kind,
+                   rows if kind == "membership" else tuple(rows), notes)
 
 
 def list_datasets():

@@ -56,8 +56,10 @@ def phase_magnitude(row: ExemplarRow, c_k: float = 1.0) -> float:
         raise ModelError(f"{row.name}: phase undefined for zero membership weight")
     if c_k <= 0.0:
         raise ModelError(f"{row.name}: normalization constant must be positive")
-    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b)
-                / (2.0 * c_k * np.sqrt(row.mu_a * row.mu_b)))
+    root = np.sqrt(row.mu_a * row.mu_b)
+    if root == 0.0:
+        raise ModelError(f"{row.name}: phase undefined: muA * muB underflows to 0")
+    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (2.0 * c_k * root))
     return arccos_clamped(arg, f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})")
 
 
@@ -138,7 +140,7 @@ def build_model(rows, c=None) -> DisjunctionModel:
     for label, col in (("muA", mu_a), ("muB", mu_b)):
         if col.sum() > 1.0 + COLUMN_SUM_SLACK:
             raise ModelError(
-                f"{label} column sums to {col.sum()!r}; not a choose-one experiment"
+                f"{label} column sums to {float(col.sum())!r}; not a choose-one experiment"
             )
     if c is None:
         c = tuple(1.0 for _ in rows)
@@ -165,7 +167,7 @@ def build_model(rows, c=None) -> DisjunctionModel:
     for label, vec in (("A", vector_a), ("B", vector_b)):
         dev = abs(np.linalg.norm(vec) - 1.0)
         if dev > NORM_DEVIATION_TOL:
-            raise ModelError(f"vector {label} norm off by {dev!r}")
+            raise ModelError(f"vector {label} norm off by {float(dev)!r}")
 
     family = SpectralFamily(
         tuple(Projector(basis_indices=(k,), dim=n + 1) for k in range(n + 1)), n + 1)

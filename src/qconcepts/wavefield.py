@@ -356,7 +356,7 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
         poly = to_poly(mons, coefs, True)
         resid = np.max(np.abs(poly.evaluate(pos[:, 0], pos[:, 1]) - phi))
         if resid > PHASE_FIT_TOL:
-            raise ModelError(f"phase field interpolation failed: residual {resid!r} rad")
+            raise ModelError(f"phase field interpolation failed: residual {float(resid)!r} rad")
     return poly
 
 

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from qconcepts.classicality import (
     ZERO_SLACK,
     ExtensionClass,
-    MembershipTriple,
     batch_diagnose,
     conjunction_diagnostics,
-    diagnose,
     disjunction_diagnostics,
 )
-from qconcepts.errors import ModelError
 
 
 def test_conjunction_double_overextension_mint_weights():
@@ -67,20 +64,11 @@ def test_double_takes_precedence_over_single():
     assert r.extension_class is ExtensionClass.DOUBLE_OVEREXTENDED
 
 
-def test_membership_triple_validation():
-    with pytest.raises(ModelError):
-        MembershipTriple("x", "A", "B", 1.2, 0.5, 0.5, "and")
-    with pytest.raises(ModelError):
-        MembershipTriple("x", "A", "B", 0.2, -0.1, 0.5, "or")
-    with pytest.raises(ModelError):
-        MembershipTriple("x", "A", "B", 0.2, 0.1, 0.5, "xor")
-
-
 def test_diagnose_dispatches_on_connective():
-    t_and = MembershipTriple("Mint", "Food", "Plant", 0.87, 0.81, 0.9, "and")
-    t_or = MembershipTriple("Mushroom", "Fruits", "Vegetables", 0.0, 0.5, 0.9, "or")
-    assert diagnose(t_and).delta == pytest.approx(0.09, abs=1e-12)
-    assert diagnose(t_or).delta == pytest.approx(-0.4, abs=1e-12)
+    # Mint under "and" and Mushroom under "or", marked as the classicality verb marks them
+    cols = batch_diagnose([0.87, 0.0], [0.81, 0.5], [0.9, 0.9],
+                          [c == "and" for c in ("and", "or")])
+    assert cols.delta.tolist() == pytest.approx([0.09, -0.4], abs=1e-12)
 
 
 def test_batch_diagnose_preserves_order():

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,14 +149,22 @@ def _odd_membership_rows():
     return rows
 
 
-def _reference_classicality(triples):
+def _row_tuples(cols):
+    """The rows of ``MembershipColumns`` as 7-tuples of str and float."""
+    return list(zip(cols.exemplar, cols.concept_a, cols.concept_b, cols.mu_a.tolist(),
+                    cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective))
+
+
+def _reference_classicality(rows):
     """The records, CSV and payload as json.dumps and csv.writer write them."""
     records = []
-    for t in triples:
-        r = classicality.diagnose(t)
+    for exemplar, concept_a, concept_b, mu_a, mu_b, mu_joint, connective in rows:
+        diagnostics = (classicality.conjunction_diagnostics if connective == "and"
+                       else classicality.disjunction_diagnostics)
+        r = diagnostics(mu_a, mu_b, mu_joint)
         records.append({
-            "exemplar": t.exemplar, "conceptA": t.concept_a, "conceptB": t.concept_b,
-            "muA": t.mu_a, "muB": t.mu_b, "muJoint": t.mu_joint, "connective": t.connective,
+            "exemplar": exemplar, "conceptA": concept_a, "conceptB": concept_b,
+            "muA": mu_a, "muB": mu_b, "muJoint": mu_joint, "connective": connective,
             "delta": r.delta, "k": r.kolmogorov_factor, "f": r.interference_need,
             "classical": r.classical_representable,
             "extension_class": r.extension_class.value,
@@ -191,23 +200,22 @@ def _large_membership_rows(quoted):
 def test_classicality_outputs_match_json_dumps_and_csv_writer(run_cli, tmp_path, source):
     if source == "hampton-table3":
         args = ("--dataset", source)
-        triples = datasets.load_dataset(source).rows
+        rows = _row_tuples(datasets.load_dataset(source).rows)
     elif source.startswith("table-5000"):
         rows = _large_membership_rows(quoted=source.endswith("quoted"))
         path = tmp_path / "in.csv"
         path.write_text(_membership_input(rows), encoding="utf-8")
         args = ("--input", path)
-        triples = [classicality.MembershipTriple(*r[:3], *map(float, r[3:6]), r[6])
-                   for r in rows]
+        rows = [(*r[:3], *map(float, r[3:6]), r[6]) for r in rows]
     else:
         path = tmp_path / "in.csv"
         path.write_text(_membership_input(_odd_membership_rows() if source == "odd-names"
                                           else []), encoding="utf-8")
         args = ("--input", path)
-        triples = datasets.load_membership_csv(path)
+        rows = _row_tuples(datasets.load_membership_csv(path))
     code, out, err = run_cli("classicality", *args, "--out-dir", tmp_path / "out", "--json")
     assert code == 0 and err == ""
-    want_json, want_csv, want_stdout = _reference_classicality(triples)
+    want_json, want_csv, want_stdout = _reference_classicality(rows)
     assert (tmp_path / "out" / "classicality.json").read_bytes() == want_json.encode()
     got_csv = (tmp_path / "out" / "classicality.csv").read_bytes().decode("utf-8")
     assert got_csv == want_csv
@@ -316,6 +324,30 @@ def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path
         assert [[math.copysign(1.0, x) for pair in payload["vectors"][label] for x in pair]
                 for label in ("A", "B")] == signs
         assert any(im == 0.0 and math.copysign(1.0, im) < 0 for _, im in vectors["B"])
+
+
+def test_classicality_loads_its_table_through_one_named_loader(run_cli, tmp_path, monkeypatch):
+    """``--input`` and ``--dataset`` each call one public loader once, so a span
+    wrapped around the loaders by name times every table the verb reads."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(datasets, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_membership_csv", "load_dataset"):
+        monkeypatch.setattr(datasets, name, counting(name))
+    path = tmp_path / "rows.csv"
+    path.write_text(MEMBERSHIP_CSV)
+    for source, loader in ((("--input", path), "load_membership_csv"),
+                           (("--dataset", "hampton-table3"), "load_dataset")):
+        calls.clear()
+        code, _, _ = run_cli("classicality", *source, "--out-dir", tmp_path / "out", "--json")
+        assert code == 0 and calls == {loader: 1}
 
 
 def test_classicality_dataset_kind_mismatch_errors(run_cli):
@@ -575,3 +607,32 @@ def test_exemplar_nan_phase_is_rejected_not_printed(run_cli, tmp_path):
     info = json.loads(err)["error"]
     assert info["type"] == "DataError" and info["line"] == 3
     assert "phi" in info["message"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+@pytest.mark.parametrize("verb", ["disjunction-model", "wavefield"])
+@pytest.mark.parametrize("weights", ["1e-320,1e-05,5e-06", "1e-200,1e-200,1e-200"])
+def test_underflowing_weight_product_is_a_json_model_error(run_cli, tmp_path, verb, weights):
+    # muA * muB rounds to 0, so no phase solves the Born relation for the row
+    path = tmp_path / "x.csv"
+    path.write_text(f"index,name,muA,muB,muAorB\n1,Tiny,{weights}\n2,Big,0.5,0.5,0.5\n")
+    out_dir = ("--out-dir", tmp_path / "out") if verb == "wavefield" else ()
+    code, out, err = run_cli(verb, "--input", path, *out_dir, "--json")
+    assert code == 1 and out == ""
+    info = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert info["type"] == "ModelError"
+    assert info["message"] == "Tiny: phase undefined: muA * muB underflows to 0"
+
+
+@pytest.mark.parametrize("verb", ["disjunction-model", "wavefield"])
+def test_column_sum_error_prints_a_plain_float(run_cli, tmp_path, verb):
+    path = tmp_path / "x.csv"
+    path.write_text("index,name,muA,muB,muAorB\n1,A,0.5,0.5,0.5\n2,B,0.8,0.5,0.5\n")
+    out_dir = ("--out-dir", tmp_path / "out") if verb == "wavefield" else ()
+    code, out, err = run_cli(verb, "--input", path, *out_dir, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "muA column sums to 1.3; not a choose-one experiment"

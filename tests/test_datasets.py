@@ -9,25 +9,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qconcepts.classicality import MembershipTriple
 from qconcepts.datasets import (
     ANIMAL_ACTS_OUTCOMES,
     MEMBERSHIP_HEADER,
     _iter_csv_rows,
     _membership_fast,
-    _triples,
+    _membership_rows,
     dataset_file_bytes,
     dataset_ids,
     list_datasets,
     load_dataset,
     load_membership_csv,
-    membership_dataset_columns,
     parse_coincidence_csv,
     parse_exemplar_csv,
-    parse_membership_columns,
     parse_membership_csv,
 )
-from qconcepts.errors import DataError, ModelError
+from qconcepts.errors import DataError
 
 MEMBERSHIP_TEXT = """\
 exemplar,conceptA,conceptB,muA,muB,muJoint,connective
@@ -68,14 +65,14 @@ def test_connective_views_partition_the_full_table():
     full = load_dataset("hampton-table3").rows
     disj = load_dataset("hampton-table3-disjunction").rows
     conj = load_dataset("hampton-table3-conjunction").rows
-    assert all(r.connective == "or" for r in disj)
-    assert all(r.connective == "and" for r in conj)
+    assert disj.connective == ["or"] * 25 and conj.connective == ["and"] * 14
     # the full table lists the disjunction block first, as published
-    assert full[:25] == disj and full[25:] == conj
+    assert _column_lists(full.take(list(range(25)))) == _column_lists(disj)
+    assert _column_lists(full.take(list(range(25, 39)))) == _column_lists(conj)
 
 
 def test_verbatim_spellings_preserved():
-    names = [r.exemplar for r in load_dataset("hampton-table3").rows]
+    names = load_dataset("hampton-table3").rows.exemplar
     for spelling in ("Underwater", "Appartment Block", "Synagoge", "Hifi",
                      "Course Liner", "Phone box"):
         assert spelling in names
@@ -122,12 +119,18 @@ def test_catalog_is_deterministic():
 
 
 def test_parse_membership_basics():
-    rows = parse_membership_csv(MEMBERSHIP_TEXT)
-    assert len(rows) == 2
-    assert rows[0].exemplar == "Mint" and rows[0].connective == "and"
-    assert rows[1].mu_joint == 0.9
-    # header alone yields an empty list
-    assert parse_membership_csv(MEMBERSHIP_TEXT.splitlines()[0]) == []
+    cols = parse_membership_csv(MEMBERSHIP_TEXT)
+    assert len(cols) == 2
+    assert cols.exemplar[0] == "Mint" and cols.connective[0] == "and"
+    assert cols.mu_joint[1] == 0.9
+    # a header alone yields empty columns, from the comma split and from the
+    # per-row loop (which a blank line after the header selects)
+    header = MEMBERSHIP_TEXT.splitlines()[0]
+    for text in (header, header + "\n\n"):
+        empty = parse_membership_csv(text)
+        assert len(empty) == 0 and empty.exemplar == []
+        assert all(col.dtype == float and col.shape == (0,)
+                   for col in (empty.mu_a, empty.mu_b, empty.mu_joint))
 
 
 def test_parse_membership_weight_out_of_range_carries_line():
@@ -136,6 +139,8 @@ def test_parse_membership_weight_out_of_range_carries_line():
         parse_membership_csv(text)
     assert exc_info.value.line == 4
     assert "muA" in str(exc_info.value)
+    with pytest.raises(DataError, match=r"muB must lie in \[0, 1\], got -0.1"):
+        parse_membership_csv(MEMBERSHIP_TEXT + "Bad,Food,Plant,0.2,-0.1,0.5,or\n")
 
 
 def test_parse_membership_field_count_and_connective_errors():
@@ -258,8 +263,8 @@ def test_comma_split_matches_the_per_line_csv_reader(text):
 # ------------------------------------------- columnar parse against the per-row loop
 
 def _reference_membership(text, source):
-    """The per-row membership parser the columnar one replaces: one validated
-    MembershipTriple per row, each line through its own csv.reader."""
+    """The per-row membership parser the columnar one replaced: one validated
+    7-tuple per row, each line through its own csv.reader."""
     rows, header_seen = [], False
     for lineno, fields in _reference_iter_csv_rows(text, source):
         if not header_seen:
@@ -281,29 +286,33 @@ def _reference_membership(text, source):
                 raise DataError(f"{source}: {MEMBERSHIP_HEADER[i]} is not a number:"
                                 f" {fields[i]!r}", line=lineno,
                                 column=MEMBERSHIP_HEADER[i]) from None
-        try:
-            rows.append(MembershipTriple(*fields[:3], *values, fields[6]))
-        except ModelError as exc:
-            raise DataError(f"{source}: {exc}", line=lineno) from exc
+        for label, value in zip(("muA", "muB", "muJoint"), values):
+            if not (0.0 <= value <= 1.0):
+                raise DataError(f"{source}: {label} must lie in [0, 1], got {value!r}",
+                                line=lineno)
+        rows.append((*fields[:3], *values, fields[6]))
     if not header_seen:
         raise DataError(f"{source}: missing header row")
     return rows
 
 
-def _columns_or_error(parse, text):
-    """The parsed columns, weights as float.hex, or the error's message, line and column."""
-    try:
-        cols = parse(text, "t.csv")
-    except DataError as exc:
-        return str(exc), exc.line, exc.column
+def _column_lists(cols):
+    """Seven lists, weights as float.hex, of ``MembershipColumns`` or of 7-tuple rows."""
     if isinstance(cols, list):
-        cols = [[getattr(r, f) for r in cols] for f in (
-            "exemplar", "concept_a", "concept_b", "mu_a", "mu_b", "mu_joint", "connective")]
+        cols = [[r[i] for r in cols] for i in range(7)]
     else:
         cols = [cols.exemplar, cols.concept_a, cols.concept_b,
                 cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective]
     assert all(type(v) is float for col in cols[3:6] for v in col)
     return cols[:3] + [[v.hex() for v in col] for col in cols[3:6]] + cols[6:]
+
+
+def _columns_or_error(parse, text):
+    """The parsed columns as ``_column_lists``, or the error's message, line and column."""
+    try:
+        return _column_lists(parse(text, "t.csv"))
+    except DataError as exc:
+        return str(exc), exc.line, exc.column
 
 
 _plain_names = st.sampled_from(["Mint", "Root Ginger", " padded\t", "é日☃", "", "and"])
@@ -364,10 +373,10 @@ def _membership_text(draw):
 # numpy's string cast drops a trailing NUL; float() rejects it
 @example(text=",".join(MEMBERSHIP_HEADER) + "\nA,B,C,0.5\x00,0.5,0.5,and\n")
 def test_columnar_membership_parse_matches_the_per_row_loop(text):
-    assert _columns_or_error(parse_membership_columns, text) == \
-        _columns_or_error(_reference_membership, text)
-    assert _columns_or_error(parse_membership_csv, text) == \
-        _columns_or_error(_reference_membership, text)
+    want = _columns_or_error(_reference_membership, text)
+    assert _columns_or_error(parse_membership_csv, text) == want
+    # the per-row loop alone, also on the tables the comma split takes
+    assert _columns_or_error(_membership_rows, text) == want
 
 
 def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest():
@@ -388,5 +397,5 @@ def test_membership_dataset_columns_match_the_per_row_loop():
     rows = _reference_membership(text, "hampton_membership.csv")
     for view, keep in (("hampton-table3", ("and", "or")), ("hampton-table3-disjunction", ("or",)),
                        ("hampton-table3-conjunction", ("and",))):
-        assert _triples(membership_dataset_columns(view)) == \
-            [r for r in rows if r.connective in keep]
+        assert _column_lists(load_dataset(view).rows) == \
+            _column_lists([r for r in rows if r[6] in keep])

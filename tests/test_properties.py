@@ -6,6 +6,7 @@ no deadline because a shared host's speed varies too much for one.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qconcepts.datasets import (
     parse_exemplar_csv,
     parse_membership_csv,
 )
+from qconcepts.disjunction_model import ExemplarRow, build_model, predict_disjunction
 from qconcepts.errors import ModelError
 from qconcepts.fock import (
     FockWeights,
@@ -131,13 +133,17 @@ PARSERS = {
 }
 
 
-def _numbers(row):
-    if hasattr(row, "probabilities"):
-        return list(row.probabilities)
-    values = [row.mu_a, row.mu_b]
-    values.append(row.mu_joint if hasattr(row, "mu_joint") else row.mu_a_or_b)
-    if getattr(row, "phi_deg", None) is not None:
-        values.append(row.phi_deg)
+def _numbers(rows):
+    if hasattr(rows, "mu_joint"):       # membership columns
+        return [*rows.mu_a.tolist(), *rows.mu_b.tolist(), *rows.mu_joint.tolist()]
+    values = []
+    for row in rows:
+        if hasattr(row, "probabilities"):
+            values += row.probabilities
+            continue
+        values += [row.mu_a, row.mu_b, row.mu_a_or_b]
+        if row.phi_deg is not None:
+            values.append(row.phi_deg)
     return values
 
 
@@ -147,7 +153,7 @@ def _parse_or_model_error(parse, source):
     except ModelError:
         return
     # whatever parses carries only finite numbers, so no NaN reaches JSON
-    assert all(np.isfinite(v) for row in rows for v in _numbers(row))
+    assert all(np.isfinite(v) for v in _numbers(rows))
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -198,3 +204,58 @@ def test_loaders_raise_only_model_errors_on_fuzzed_bytes(kind, tmp_path):
         _parse_or_model_error(load, path)
 
     check()
+
+
+# ------------------------------- disjunction model: Born relation and its edges
+
+def _normalized(raw):
+    total = sum(raw)
+    return [x / total for x in raw]
+
+
+@st.composite
+def _born_tables(draw):
+    """A choose-one exemplar table whose muA, muB and muAorB columns each sum
+    to 1, with muAorB_k = (muA_k + muB_k)/2 + sqrt(muA_k muB_k) cos phi_k."""
+    n = draw(st.integers(1, 12))
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)
+    mu_a, mu_b = _normalized(draw(weights)), _normalized(draw(weights))
+    w = [math.sqrt(a * b) for a, b in zip(mu_a, mu_b)]
+    cos = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    # shrink the heavier side so that sum w cos = 0, which makes muAorB sum to 1
+    up = sum(wk * c for wk, c in zip(w, cos) if c > 0)
+    down = -sum(wk * c for wk, c in zip(w, cos) if c < 0)
+    scale = {True: min(1.0, down / up) if up else 0.0,
+             False: min(1.0, up / down) if down else 0.0}
+    cos = [c * scale[c > 0] for c in cos]
+    mu_or = [min(1.0, max(0.0, (a + b) / 2.0 + wk * c))
+             for a, b, wk, c in zip(mu_a, mu_b, w, cos)]
+    return [ExemplarRow(k + 1, f"x{k + 1}", a, b, o)
+            for k, (a, b, o) in enumerate(zip(mu_a, mu_b, mu_or))]
+
+
+@SETTINGS
+@given(rows=_born_tables())
+def test_predictions_recover_born_consistent_disjunction_weights(rows):
+    model = build_model(rows)
+    for k, row in enumerate(rows, start=1):
+        assert predict_disjunction(model, k) == pytest.approx(row.mu_a_or_b, abs=1e-9)
+
+
+# positive weights down to the smallest subnormal, where muA * muB can round to 0
+positive = st.one_of(st.sampled_from([5e-324, 1e-320, 1e-200, 1e-160, 1e-5, 0.5, 1.0]),
+                     st.floats(0.0, 1.0, exclude_min=True))
+
+
+@SETTINGS
+@given(weights=st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=6))
+def test_positive_weights_build_a_model_or_raise_a_model_error_without_warning(weights):
+    rows = [ExemplarRow(k + 1, f"x{k + 1}", *w) for k, w in enumerate(weights)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = build_model(rows)
+        except ModelError:
+            return
+        predictions = [predict_disjunction(model, k) for k in range(1, len(rows) + 1)]
+    assert all(0.0 <= p <= 1.0 for p in predictions)
