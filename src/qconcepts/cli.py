@@ -104,6 +104,11 @@ def _json_float_column(col) -> list:
     return texts[inverse].tolist()
 
 
+def _json_list(texts: list) -> str:
+    """``_dumps`` of a list, given each element's JSON text as it sits in the list."""
+    return "[\n  %s\n]" % ",\n  ".join(texts) if texts else "[]"
+
+
 def _json_rows(columns: dict) -> str:
     """``_dumps`` of a list of dicts, given each key's column of encoded values.
 
@@ -111,10 +116,9 @@ def _json_rows(columns: dict) -> str:
     sort_keys order, so no per-row encoder runs.
     """
     keys = sorted(columns)
-    template = "  {\n" + ",\n".join(
+    template = "{\n" + ",\n".join(
         f"    {_encode_str(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    body = ",\n".join(map(template.__mod__, zip(*(columns[key] for key in keys))))
-    return f"[\n{body}\n]" if body else "[]"
+    return _json_list(list(map(template.__mod__, zip(*(columns[key] for key in keys)))))
 
 
 def _digest(data: bytes) -> str:
@@ -351,7 +355,6 @@ def _cmd_disjunction_model(args, argv) -> int:
     })
     payload = {
         "dim": model.dim,
-        "c": list(model.c),
         "sign_source": model.sign_source,
         "sign_residual": model.sign_residual,
         "orthogonality_residual": disjunction_model.orthogonality_residual(model),
@@ -359,27 +362,26 @@ def _cmd_disjunction_model(args, argv) -> int:
         "norm_deviation_b": model.norm_deviation_b,
         "max_abs_prediction_error": max(errors),
     }
-    encoded = {"rows": rows_json}
+    encoded = {"rows": rows_json, "c": _json_list(_json_floats(model.c))}
     if args.emit_vectors:
         # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
-        pair = "  [\n    %s,\n    %s\n  ]"
+        pair = "[\n    %s,\n    %s\n  ]"
         encoded["vectors"] = _dumps({}, {
-            label: "[\n" + ",\n".join(map(pair.__mod__, zip(
-                _json_float_column(vec.real), _json_float_column(vec.imag)))) + "\n]"
+            label: _json_list(list(map(pair.__mod__, zip(
+                _json_float_column(vec.real), _json_float_column(vec.imag)))))
             for label, vec in (("A", model.vector_a), ("B", model.vector_b))})
-    human = [
-        f"{model.dim}-dimensional model over {len(rows)} exemplars",
-        f"phase signs: {model.sign_source}"
-        f" (imaginary residual {_sig(model.sign_residual)})",
-        f"orthogonality residual |<A|B>|: {_sig(payload['orthogonality_residual'])}",
-        f"max |prediction - muAorB|: {_sig(payload['max_abs_prediction_error'])}",
-    ]
-    for r, phi, pred in zip(model.rows, phi_deg, predictions):
-        human.append(
-            f"  {r.index:>3} {r.name:<14} phi {phi:>9.2f} deg"
-            f"  predicted {_sig(pred):>9}  observed {_sig(r.mu_a_or_b)}"
-        )
-    _emit(args, payload, human, encoded=encoded)
+
+    def human():
+        yield f"{model.dim}-dimensional model over {len(rows)} exemplars"
+        yield (f"phase signs: {model.sign_source}"
+               f" (imaginary residual {_sig(model.sign_residual)})")
+        yield f"orthogonality residual |<A|B>|: {_sig(payload['orthogonality_residual'])}"
+        yield f"max |prediction - muAorB|: {_sig(payload['max_abs_prediction_error'])}"
+        for r, phi, pred in zip(model.rows, phi_deg, predictions):
+            yield (f"  {r.index:>3} {r.name:<14} phi {phi:>9.2f} deg"
+                   f"  predicted {_sig(pred):>9}  observed {_sig(r.mu_a_or_b)}")
+
+    _emit(args, payload, human(), encoded=encoded)
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, check_unit_interval
-from .hilbert import Projector, SpectralFamily, arccos_clamped, born_probability, inner_product
+from .hilbert import Projector, arccos_clamped, born_probability, inner_product
 
 # the weight columns come from choose-one experiments, so each should sum
 # to ~1; printed tables carry rounding residue up to a few parts in 10^3
@@ -50,17 +50,27 @@ class ExemplarRow:
             raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees")
 
 
+def phase_magnitudes(names, mu_a, mu_b, mu_or, c) -> np.ndarray:
+    """|phi_k| over float weight columns; the first failing row raises what it would alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(mu_a * mu_b)
+        arg = (2.0 * mu_or - mu_a - mu_b) / (2.0 * c * root)
+    checks = (((mu_a <= 0.0) | (mu_b <= 0.0), "phase undefined for zero membership weight"),
+              (c <= 0.0, "normalization constant must be positive"),
+              (root == 0.0, "phase undefined: muA * muB underflows to 0"))
+    undefined = np.flatnonzero(checks[0][0] | checks[1][0] | checks[2][0])
+    stop = int(undefined[0]) if undefined.size else arg.size
+    mags = arccos_clamped(arg[:stop], lambda i: (
+        f"{names[i]}: no phase solution at this c_k (cos phi = {float(arg[i])!r})"))
+    if stop < arg.size:
+        raise ModelError(f"{names[stop]}: " + next(text for bad, text in checks if bad[stop]))
+    return mags
+
+
 def phase_magnitude(row: ExemplarRow, c_k: float = 1.0) -> float:
-    """|phi_k| in radians from the weights: arccos of the inverted Born relation."""
-    if row.mu_a <= 0.0 or row.mu_b <= 0.0:
-        raise ModelError(f"{row.name}: phase undefined for zero membership weight")
-    if c_k <= 0.0:
-        raise ModelError(f"{row.name}: normalization constant must be positive")
-    root = np.sqrt(row.mu_a * row.mu_b)
-    if root == 0.0:
-        raise ModelError(f"{row.name}: phase undefined: muA * muB underflows to 0")
-    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (2.0 * c_k * root))
-    return arccos_clamped(arg, f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})")
+    """|phi_k| in radians for one row (see ``phase_magnitudes``)."""
+    return float(phase_magnitudes(
+        (row.name,), *(np.array([v]) for v in (row.mu_a, row.mu_b, row.mu_a_or_b, c_k)))[0])
 
 
 def assign_phase_signs(magnitudes, weights):
@@ -98,29 +108,22 @@ def assign_phase_signs(magnitudes, weights):
 
 @dataclass(frozen=True, eq=False)
 class DisjunctionModel:
-    """Built model: concept vectors, projector family, and phase bookkeeping."""
+    """Built model: concept vectors, their superposition, and phase bookkeeping."""
 
     rows: tuple
     vector_a: np.ndarray            # dim n+1, complex
     vector_b: np.ndarray
-    family: SpectralFamily
     c: tuple                        # per-row normalization constants (all 1)
     phases: np.ndarray              # signed radians actually used
     sign_source: str                # "supplied" or "search"
     sign_residual: float            # |sum w sin(phi)| for the used signs
     superposed: np.ndarray          # the normalized midpoint (|A> + |B>)/||.||
+    norm_deviation_a: float         # | ||A|| - 1 |
+    norm_deviation_b: float
 
     @property
     def dim(self) -> int:
         return self.vector_a.size
-
-    @property
-    def norm_deviation_a(self) -> float:
-        return abs(float(np.linalg.norm(self.vector_a)) - 1.0)
-
-    @property
-    def norm_deviation_b(self) -> float:
-        return abs(float(np.linalg.norm(self.vector_b)) - 1.0)
 
 
 def build_model(rows, c=None) -> DisjunctionModel:
@@ -134,58 +137,50 @@ def build_model(rows, c=None) -> DisjunctionModel:
     rows = tuple(rows)
     if not rows:
         raise ModelError("need at least one exemplar row")
-    n = len(rows)
-    mu_a = np.array([r.mu_a for r in rows])
-    mu_b = np.array([r.mu_b for r in rows])
+    mu_a, mu_b, mu_or = np.array([(r.mu_a, r.mu_b, r.mu_a_or_b) for r in rows]).T.copy()
     for label, col in (("muA", mu_a), ("muB", mu_b)):
         if col.sum() > 1.0 + COLUMN_SUM_SLACK:
             raise ModelError(
                 f"{label} column sums to {float(col.sum())!r}; not a choose-one experiment"
             )
-    if c is None:
-        c = tuple(1.0 for _ in rows)
-    mags = np.array([phase_magnitude(r, ck) for r, ck in zip(rows, c)])
+    c = np.ones(mu_a.size) if c is None else np.asarray(c, dtype=float)
+    if c.shape != mu_a.shape:
+        raise ModelError("need one normalization constant per row")
+    mags = phase_magnitudes([r.name for r in rows], mu_a, mu_b, mu_or, c)
     w = np.sqrt(mu_a * mu_b)
 
     supplied = [r.phi_deg is not None for r in rows]
     if all(supplied):
         signs = np.array([1.0 if r.phi_deg >= 0 else -1.0 for r in rows])
         source = "supplied"
-        sign_residual = abs(float(np.sum(w * np.sin(signs * mags))))
     elif not any(supplied):
-        signs, sign_residual = assign_phase_signs(mags, w)
+        signs = assign_phase_signs(mags, w)[0]
         source = "search"
     else:
         raise ModelError("phi must be supplied for all rows or for none")
     phases = signs * mags
+    sign_residual = abs(float(np.sum(w * np.sin(phases))))
 
     comp_a = np.sqrt(max(0.0, 1.0 - float(mu_a.sum())))
     comp_b = np.sqrt(max(0.0, 1.0 - float(mu_b.sum())))
     vector_a = np.append(np.sqrt(mu_a), comp_a).astype(complex)
     vector_b = np.append(np.sqrt(mu_b) * np.exp(1j * phases), comp_b)
 
-    for label, vec in (("A", vector_a), ("B", vector_b)):
-        dev = abs(np.linalg.norm(vec) - 1.0)
+    devs = [abs(float(np.linalg.norm(vec)) - 1.0) for vec in (vector_a, vector_b)]
+    for label, dev in zip("AB", devs):
         if dev > NORM_DEVIATION_TOL:
-            raise ModelError(f"vector {label} norm off by {float(dev)!r}")
+            raise ModelError(f"vector {label} norm off by {dev!r}")
 
-    family = SpectralFamily(
-        tuple(Projector(basis_indices=(k,), dim=n + 1) for k in range(n + 1)), n + 1)
     sup = vector_a + vector_b
-    return DisjunctionModel(rows, vector_a, vector_b, family, tuple(c), phases,
-                            source, sign_residual, sup / np.linalg.norm(sup))
-
-
-def superposition(model: DisjunctionModel) -> np.ndarray:
-    """The normalized midpoint state (|A> + |B>)/||.||."""
-    return model.superposed
+    return DisjunctionModel(rows, vector_a, vector_b, tuple(c.tolist()), phases,
+                            source, sign_residual, sup / np.linalg.norm(sup), *devs)
 
 
 def predict_disjunction(model: DisjunctionModel, k: int) -> float:
     """Born weight of the normalized superposition at exemplar k (1-based)."""
     if not (1 <= k <= len(model.rows)):
         raise ModelError(f"exemplar index {k} out of range 1..{len(model.rows)}")
-    return born_probability(model.superposed, model.family.projectors[k - 1])
+    return born_probability(model.superposed, Projector(basis_indices=(k - 1,), dim=model.dim))
 
 
 def orthogonality_residual(model: DisjunctionModel) -> float:

@@ -107,10 +107,7 @@ class Projector:
     def matrix(self) -> np.ndarray:
         """Dense representation (promotes a diagonal projector on demand)."""
         if self._matrix is None:
-            m = np.zeros((self._dim, self._dim), dtype=complex)
-            for i in self._indices:
-                m[i, i] = 1.0
-            self._matrix = m
+            self._matrix = np.diag(np.isin(np.arange(self._dim), self._indices)).astype(complex)
         return self._matrix
 
     def apply(self, components: np.ndarray) -> np.ndarray:
@@ -120,9 +117,7 @@ class Projector:
             )
         if self._indices is not None:
             out = np.zeros_like(components)
-            if self._indices:
-                sel = np.array(self._indices)
-                out[sel] = components[sel]
+            out[list(self._indices)] = components[list(self._indices)]
             return out
         return self.matrix @ components
 
@@ -165,8 +160,12 @@ def inner_product(a, b) -> complex:
 def born_probability(state, projector: Projector, tol: float = STRUCTURAL_TOL) -> float:
     """<s|M|s> for a projector M; validated real and inside [0, 1]."""
     comps = state.components if isinstance(state, StateVector) else _as_complex_array(state)
-    proj = projector.apply(comps)
-    val = complex(np.vdot(comps, proj))
+    idx = projector.basis_indices
+    if idx is not None and len(idx) == 1 and comps.shape[0] == projector.dim:
+        part = comps[idx[0]:idx[0] + 1]     # the zero-filled vdot's one nonzero term
+        val = complex(np.vdot(part, part))
+    else:
+        val = complex(np.vdot(comps, projector.apply(comps)))
     if abs(val.imag) > ALGEBRAIC_TOL:
         raise ModelError(f"Born probability not real: imag = {val.imag:.3e}")
     p = val.real
@@ -217,12 +216,18 @@ def validate_spectral_family(family: SpectralFamily, tol: float = STRUCTURAL_TOL
     return ValidationReport(ok, tuple(violations), defect)
 
 
-def arccos_clamped(arg: float, message: str) -> float:
+def arccos_clamped(arg, message):
     """Angle in [0, pi] whose cosine is ``arg``, clamping rounding overshoot.
 
-    An argument beyond 1 + COS_CLAMP_SLACK in magnitude has no angle: that
-    raises NoInterferenceSolution with ``message``, carrying the argument.
+    ``arg`` may be an array of cosines. One beyond 1 + COS_CLAMP_SLACK in
+    magnitude has no angle: the first such raises NoInterferenceSolution
+    carrying it, with ``message`` (``message(i)`` for array element i).
     """
-    if abs(arg) > 1.0 + COS_CLAMP_SLACK:
-        raise NoInterferenceSolution(message, argument=float(arg))
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
+    arr = np.asarray(arg, dtype=float)
+    over = np.flatnonzero(np.abs(arr) > 1.0 + COS_CLAMP_SLACK)
+    if over.size:
+        i = int(over[0])
+        raise NoInterferenceSolution(message(i) if arr.ndim else message,
+                                     argument=float(arr.flat[i]))
+    angles = np.arccos(np.clip(arr, -1.0, 1.0))
+    return angles if arr.ndim else float(angles)

@@ -123,7 +123,12 @@ def _log_ratios(amplitude, mu, label):
         raise ModelError(f"{label} weights must be positive to take log ratios")
     if amplitude < mu.max():
         raise ModelError(f"peak amplitude {amplitude!r} below max {label} weight")
-    return np.log(amplitude / mu)
+    with np.errstate(over="ignore"):
+        ratio = amplitude / mu
+    if np.isinf(ratio).any():
+        raise ModelError(f"{label} weight {float(mu.min())!r} is too small:"
+                         f" its ratio to the peak {amplitude!r} overflows")
+    return np.log(ratio)
 
 
 def _curve_point(p, q, t):
@@ -172,10 +177,10 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
         t = np.linspace(0.0, 2.0 * np.pi, _ROOT_SAMPLES + 1)
         h = g_b(*_curve_point(p, q, t)) - lb[k]
         roots = []
-        for i in range(_ROOT_SAMPLES):
+        for i in np.flatnonzero((h[:-1] == 0.0) | (h[:-1] * h[1:] < 0)).tolist():
             if h[i] == 0.0:
                 roots.append(t[i])
-            elif h[i] * h[i + 1] < 0:
+            else:
                 lo, hi, f_lo = t[i], t[i + 1], h[i]
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
@@ -248,12 +253,15 @@ def _fit_widths(rows, center_b):
     r_o, lb_o = r_a[others, None], lb[others]
     p_sq = (r_o * np.cos(t) - a) ** 2
     q_sq = (r_o * np.sin(t) - b) ** 2
+    g, vq = np.empty_like(p_sq), np.empty_like(q_sq)    # reused by every call
 
     def worst_margin(u):
         v = (lb[ia] - a ** 2 * u) / b ** 2
         if v <= 0.0:
             return -np.inf
-        g = u * p_sq + v * q_sq
+        np.multiply(u, p_sq, out=g)
+        np.multiply(v, q_sq, out=vq)
+        np.add(g, vq, out=g)
         return min(np.min(lb_o - g.min(axis=1), initial=np.inf),
                    np.min(g.max(axis=1) - lb_o, initial=np.inf))
 

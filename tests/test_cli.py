@@ -7,13 +7,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qconcepts
 from qconcepts import classicality, cli, datasets, disjunction_model
 
 COUNTS_CSV = """\
@@ -442,6 +446,19 @@ def test_disjunction_model_json(run_cli_json):
     assert tomato["phi_deg"] == pytest.approx(96.8315, abs=1e-3)
 
 
+def test_disjunction_model_formats_its_human_report_only_when_printed(run_cli, monkeypatch):
+    calls = Counter()
+    sig = cli._sig
+    monkeypatch.setattr(cli, "_sig", lambda x: calls.update(["sig"]) or sig(x))
+    code, out, _ = run_cli("disjunction-model", "--dataset", "fruits-vegetables-table2", "--json")
+    assert code == 0 and json.loads(out)["dim"] == 25 and calls["sig"] == 0
+    code, out, _ = run_cli("disjunction-model", "--dataset", "fruits-vegetables-table2")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4 + 24 and calls["sig"] == 3 + 2 * 24
+    assert lines[0] == "25-dimensional model over 24 exemplars"
+    assert lines[4].split()[1] == "Almond"
+
+
 def test_disjunction_model_emit_vectors(run_cli_json):
     code, payload, _ = run_cli_json("disjunction-model", "--dataset",
                                     "fruits-vegetables-table2", "--emit-vectors")
@@ -625,6 +642,22 @@ def test_underflowing_weight_product_is_a_json_model_error(run_cli, tmp_path, ve
     info = json.loads(err, parse_constant=_reject_constant)["error"]
     assert info["type"] == "ModelError"
     assert info["message"] == "Tiny: phase undefined: muA * muB underflows to 0"
+
+
+def test_overflowing_peak_ratio_is_one_json_error_on_stderr(tmp_path):
+    # the model builds, but the width fit's 0.5 / 1e-320 overflows; a fresh
+    # process shows whatever numpy would print on stderr besides the error
+    path = tmp_path / "x.csv"
+    path.write_text("index,name,muA,muB,muAorB\n1,Tiny,1e-320,0.5,0.25\n2,Big,0.5,0.4,0.45\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qconcepts.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconcepts.cli", "wavefield", "--input", str(path),
+         "--out-dir", str(tmp_path / "out"), "--json"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": {
+        "type": "ModelError",
+        "message": "muA weight 1e-320 is too small: its ratio to the peak 0.5 overflows"}}
 
 
 @pytest.mark.parametrize("verb", ["disjunction-model", "wavefield"])

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import (
@@ -12,11 +14,11 @@ from qconcepts.disjunction_model import (
     build_model,
     orthogonality_residual,
     phase_magnitude,
+    phase_magnitudes,
     predict_disjunction,
-    superposition,
 )
 from qconcepts.errors import ModelError, NoInterferenceSolution
-from qconcepts.hilbert import born_probability
+from qconcepts.hilbert import COS_CLAMP_SLACK, Projector, born_probability
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,99 @@ def test_phase_magnitude_small_scale_invalidates():
     assert abs(exc_info.value.argument) > 1.0
     with pytest.raises(ModelError, match="positive"):
         phase_magnitude(row, c_k=0.0)
+
+
+def _phase_magnitude_per_row(row, c_k=1.0):
+    """Reference |phi_k|: one row at a time on Python and numpy scalars."""
+    if row.mu_a <= 0.0 or row.mu_b <= 0.0:
+        raise ModelError(f"{row.name}: phase undefined for zero membership weight")
+    if c_k <= 0.0:
+        raise ModelError(f"{row.name}: normalization constant must be positive")
+    root = np.sqrt(row.mu_a * row.mu_b)
+    if root == 0.0:
+        raise ModelError(f"{row.name}: phase undefined: muA * muB underflows to 0")
+    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (2.0 * c_k * root))
+    if abs(arg) > 1.0 + COS_CLAMP_SLACK:
+        raise NoInterferenceSolution(
+            f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})", argument=arg)
+    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
+
+
+def _outcomes(compute):
+    """Each magnitude's exact bits, or the error's type, message and argument."""
+    try:
+        return [float(m).hex() for m in compute()]
+    except ModelError as exc:
+        return type(exc), str(exc), getattr(exc, "argument", None)
+
+
+# weights that fail a check (0, a product that underflows) or sit near the clamp
+_weight = st.one_of(st.sampled_from([0.0, 5e-324, 1e-200, 1e-160, 1e-5, 0.25, 1.0]),
+                    st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _exemplar_rows(draw):
+    """Rows of three kinds: Born-consistent up to a cosine just past the clamp
+    slack, arbitrary weights (mostly no phase solution), and a bad constant."""
+    rows, c = [], []
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["born", "born", "born", "any", "c"]))
+        mu_a, mu_b = draw(_weight), draw(_weight)
+        if kind == "any":
+            mu_or = draw(_weight)
+        else:
+            cos = draw(st.floats(-1.0, 1.0))
+            if draw(st.booleans()):
+                cos = np.copysign(1.0 + draw(st.floats(0.0, 2.0 * COS_CLAMP_SLACK)), cos)
+            mu_or = min(1.0, max(0.0, (mu_a + mu_b) / 2.0 + np.sqrt(mu_a * mu_b) * cos))
+        rows.append(ExemplarRow(k + 1, f"x{k + 1}", mu_a, mu_b, mu_or))
+        c.append(draw(st.sampled_from([0.0, -1.0, 0.1, 2.0])) if kind == "c" else 1.0)
+    return rows, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(case=_exemplar_rows())
+def test_columnar_phase_magnitudes_match_the_per_row_loop(case):
+    rows, c = case
+    columns = [np.array([getattr(r, f) for r in rows]) for f in ("mu_a", "mu_b", "mu_a_or_b")]
+    want = _outcomes(lambda: [_phase_magnitude_per_row(r, ck) for r, ck in zip(rows, c)])
+    assert _outcomes(lambda: phase_magnitudes(
+        [r.name for r in rows], *columns, np.array(c))) == want
+    assert _outcomes(lambda: [phase_magnitude(r, ck) for r, ck in zip(rows, c)]) == want
+
+
+def test_columnar_phase_magnitudes_match_the_per_row_loop_at_scale(table2_rows):
+    rng = np.random.default_rng(11)
+    mu_a, mu_b = rng.dirichlet(np.ones(3000)), rng.dirichlet(np.ones(3000))
+    cos = rng.uniform(-1.0, 1.0, 3000)
+    cos[::50] = np.sign(cos[::50]) * (1.0 + COS_CLAMP_SLACK * rng.uniform(0.0, 0.9, 60))
+    mu_or = np.clip(0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * cos, 0.0, 1.0)
+    rows = [ExemplarRow(k + 1, f"x{k}", *w)
+            for k, w in enumerate(zip(mu_a.tolist(), mu_b.tolist(), mu_or.tolist()))]
+    for case in (rows, table2_rows):
+        columns = [np.array([getattr(r, f) for r in case]) for f in ("mu_a", "mu_b", "mu_a_or_b")]
+        got = phase_magnitudes([r.name for r in case], *columns, np.ones(len(case)))
+        assert [float(m).hex() for m in got] == \
+            [float(_phase_magnitude_per_row(r)).hex() for r in case]
+
+
+@pytest.mark.parametrize("weights, error", [
+    ([(0.3, 0.2, 0.3), (0.2, 0.2, 0.5), (0.0, 0.2, 0.1)], "b: no phase solution"),
+    ([(0.3, 0.2, 0.3), (0.0, 0.2, 0.1), (0.2, 0.2, 0.5)], "b: phase undefined for zero"),
+    ([(0.3, 0.2, 0.3), (1e-200, 1e-200, 0.0), (0.2, 0.2, 0.5)], "b: phase undefined: muA"),
+    # cos phi = 1 + 4e-7 for row a: clamped, inside the slack
+    ([(0.25, 0.25, 0.5000001), (0.2, 0.2, 0.5)], "b: no phase solution"),
+])
+def test_first_failing_row_raises_its_own_error(weights, error):
+    rows = [ExemplarRow(k + 1, "abc"[k], *w) for k, w in enumerate(weights)]
+    names = [r.name for r in rows]
+    columns = [np.array(col) for col in zip(*weights)]
+    with pytest.raises(ModelError, match=error) as exc_info:
+        phase_magnitudes(names, *columns, np.ones(len(rows)))
+    want = _outcomes(lambda: [_phase_magnitude_per_row(r) for r in rows])
+    assert want == (type(exc_info.value), str(exc_info.value),
+                    getattr(exc_info.value, "argument", None))
 
 
 def test_sign_assignment_cancels_symmetric_pair():
@@ -203,18 +298,21 @@ def test_build_model_rejects_overfull_columns():
         build_model([])
 
 
+def _basis_projectors(model):
+    return [Projector(basis_indices=(k,), dim=model.dim) for k in range(model.dim)]
+
+
 def test_superposition_is_normalized(table2_rows):
     model = build_model(table2_rows)
-    sup = superposition(model)
-    assert np.linalg.norm(sup) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(model.superposed) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_born_weights_sum_to_one_over_family(table2_rows):
     model = build_model(table2_rows)
-    sup = superposition(model)
-    total = sum(born_probability(sup, p) for p in model.family.projectors)
+    family = _basis_projectors(model)
+    total = sum(born_probability(model.superposed, p) for p in family)
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert len(model.family.projectors) == 25
+    assert len(family) == model.dim == 25
 
 
 @pytest.mark.parametrize("strip_phases", [False, True])
@@ -225,7 +323,7 @@ def test_prediction_is_the_born_weight_of_the_fresh_superposition(table2_rows, s
     model = build_model(rows)
     fresh = model.vector_a + model.vector_b
     fresh = fresh / np.linalg.norm(fresh)
-    for k, proj in enumerate(model.family.projectors[:-1], start=1):
+    for k, proj in enumerate(_basis_projectors(model)[:-1], start=1):
         assert predict_disjunction(model, k) == born_probability(fresh, proj)
 
 

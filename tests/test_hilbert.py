@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconcepts.errors import CollapseImpossible, DimensionMismatch, ModelError
 from qconcepts.hilbert import (
+    ALGEBRAIC_TOL,
+    STRUCTURAL_TOL,
     Projector,
     SpectralFamily,
     StateVector,
@@ -159,6 +163,65 @@ def test_born_probability_clips_rounding_overshoot():
 def test_born_probability_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         born_probability(StateVector([1.0, 0.0]), Projector(basis_indices=(0,), dim=3))
+
+
+def _born_zero_filled(comps, projector, tol=STRUCTURAL_TOL):
+    """Reference Born rule: vdot of the state with its zero-filled projection."""
+    if comps.shape[0] != projector.dim:
+        raise DimensionMismatch(f"projector dim {projector.dim} vs state dim {comps.shape[0]}")
+    if projector.is_diagonal:
+        proj = np.zeros_like(comps)
+        if projector.basis_indices:
+            sel = np.array(projector.basis_indices)
+            proj[sel] = comps[sel]
+    else:
+        proj = projector.matrix @ comps
+    val = complex(np.vdot(comps, proj))
+    if abs(val.imag) > ALGEBRAIC_TOL:
+        raise ModelError(f"Born probability not real: imag = {val.imag:.3e}")
+    p = val.real
+    if p < -tol or p > 1.0 + tol:
+        raise ModelError(f"Born probability outside [0, 1]: {p!r}")
+    return min(max(p, 0.0), 1.0)
+
+
+def _outcome(born, comps, projector):
+    """The result's exact bits, or the error's type and message."""
+    try:
+        return float(born(comps, projector)).hex()
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _states_and_projectors(draw):
+    dim = draw(st.integers(1, 40))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
+    comps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    norm = np.linalg.norm(comps)
+    if norm > 0.0 and draw(st.booleans()):
+        comps = comps / norm
+    single = st.tuples(st.integers(0, dim - 1))
+    indices = draw(st.one_of(single, single, st.sets(st.integers(0, dim - 1))))
+    proj_dim = draw(st.sampled_from([dim, dim, dim, dim + 1]))
+    return comps, Projector(basis_indices=indices, dim=proj_dim)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(case=_states_and_projectors())
+def test_born_probability_is_bitwise_the_zero_filled_vdot(case):
+    comps, projector = case
+    assert _outcome(born_probability, comps, projector) == \
+        _outcome(_born_zero_filled, comps, projector)
+
+
+@pytest.mark.parametrize("dim", [25, 3001])
+def test_born_probability_on_every_basis_direction_of_a_large_state(dim):
+    comps = random_state(dim, np.random.default_rng(dim)).components
+    for k in range(dim):
+        projector = Projector(basis_indices=(k,), dim=dim)
+        assert _outcome(born_probability, comps, projector) == \
+            _outcome(_born_zero_filled, comps, projector)
 
 
 # --------------------------------------------------------------------- collapse

@@ -15,6 +15,7 @@ from qconcepts.wavefield import (
     MARGIN_FLOOR,
     _BLOCK_PIXELS,
     _CURVE_SAMPLES,
+    _ROOT_SAMPLES,
     _SCAN_POINTS,
     GridKind,
     GridPattern,
@@ -22,6 +23,7 @@ from qconcepts.wavefield import (
     WaveFieldConfig,
     _block_rows,
     _cos_phase,
+    _curve_point,
     _fit_widths,
     _intensity_fields,
     _log_ratios,
@@ -238,6 +240,73 @@ def test_width_fit_matches_per_row_loop(table2):
         _fit_widths_loop(pert, (10.0, 4.0))
     with pytest.raises(PlacementError, match="no width assignment"):
         _fit_widths(pert, (10.0, 4.0))
+
+
+def _place_exemplars_loop(rows, config):
+    """Reference placement: brackets roots by walking every sample of h."""
+    mu_a = np.array([r.mu_a for r in rows])
+    mu_b = np.array([r.mu_b for r in rows])
+    la = _log_ratios(config.amplitude_a, mu_a, "muA")
+    lb = _log_ratios(config.amplitude_b, mu_b, "muB")
+    ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
+    ub, vb = 1.0 / (2.0 * config.sigma_bx ** 2), 1.0 / (2.0 * config.sigma_by ** 2)
+    a, b = float(config.center_b[0]), float(config.center_b[1])
+
+    def g_b(x, y):
+        return ub * (x - a) ** 2 + vb * (y - b) ** 2
+
+    positions = np.zeros((len(rows), 2))
+    for k, row in enumerate(rows):
+        if la[k] == 0.0:
+            positions[k] = (0.0, 0.0)
+            continue
+        if lb[k] == 0.0:
+            positions[k] = (a, b)
+            continue
+        p, q = np.sqrt(la[k] / ua), np.sqrt(la[k] / va)
+        t = np.linspace(0.0, 2.0 * np.pi, _ROOT_SAMPLES + 1)
+        h = g_b(*_curve_point(p, q, t)) - lb[k]
+        roots = []
+        for i in range(_ROOT_SAMPLES):
+            if h[i] == 0.0:
+                roots.append(t[i])
+            elif h[i] * h[i + 1] < 0:
+                lo, hi, f_lo = t[i], t[i + 1], h[i]
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    f_mid = g_b(*_curve_point(p, q, mid)) - lb[k]
+                    if f_lo * f_mid <= 0:
+                        hi = mid
+                    else:
+                        lo, f_lo = mid, f_mid
+                roots.append(0.5 * (lo + hi))
+        # the tangency rescue is left out: every input below brackets a root
+        assert roots, row.name
+        pts = sorted((_curve_point(p, q, tt) for tt in roots), key=lambda pt: -pt[1])
+        positions[k] = pts[0] if row.index % 2 == 1 else pts[-1]
+    return positions
+
+
+def test_placement_brackets_match_the_per_sample_loop(table2):
+    rows, config = table2[0], table2[1]
+    cases = [(rows, config)]
+    for seed in range(12):
+        pert = _perturbed(rows, seed, 0.1)
+        cases.append((pert, default_config(pert)))
+    # a B level curve through the A-curve's t = 0 sample (p, 0), so h is exactly 0
+    # there; B is centred off the axis, so the curves cross rather than touch
+    config = _circular_config(center=(1.5, 1.0))
+    u = 1.0 / (2.0 * SQ2INV ** 2)
+    p = float(np.sqrt(_log_ratios(1.0, [E1], "muA")[0] / u))
+    on_sample = float(np.exp(-(u * (p - 1.5) ** 2 + u * (0.0 - 1.0) ** 2)))
+    crossing = [ExemplarRow(1, "Above", E1, on_sample, 0.3),
+                ExemplarRow(2, "OnSample", E1, on_sample, 0.3)]
+    assert tuple(place_exemplars(crossing, config)[1]) == (p, 0.0)
+    cases.append((crossing, config))
+    for case_rows, case_config in cases:
+        got = place_exemplars(case_rows, case_config)
+        want = _place_exemplars_loop(case_rows, case_config)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lowest_monomials_order():
