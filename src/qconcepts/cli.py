@@ -410,15 +410,14 @@ def _cmd_wavefield(args, argv) -> int:
     mu_a = np.array([r.mu_a for r in rows])
     mu_b = np.array([r.mu_b for r in rows])
     mu_or = np.array([r.mu_a_or_b for r in rows])
-    sup_vals = patterns[wavefield.GridKind.SUPERPOSED].values
-    cla_vals = patterns[wavefield.GridKind.CLASSICAL_AVERAGE].values
+    sup = patterns[wavefield.GridKind.SUPERPOSED]
     residuals = {
         "placement_a": float(np.max(np.abs(i_a - mu_a))),
         "placement_b": float(np.max(np.abs(i_b - mu_b))),
         "phase_fit": float(np.max(np.abs(poly.evaluate(px, py) - model.phases))),
         "superposed_vs_observed": float(np.max(np.abs(superposed - mu_or))),
-        "constructive_pixels": int(np.count_nonzero(sup_vals > cla_vals)),
-        "destructive_pixels": int(np.count_nonzero(sup_vals < cla_vals)),
+        "constructive_pixels": sup.constructive_count,
+        "destructive_pixels": sup.destructive_count,
     }
 
     out = _out_dir(args)
@@ -447,7 +446,7 @@ def _cmd_wavefield(args, argv) -> int:
             "fallback_used": poly.fallback_used,
         },
         "sign_source": model.sign_source,
-        "clamp_count": patterns[wavefield.GridKind.SUPERPOSED].clamp_count,
+        "clamp_count": sup.clamp_count,
         "residuals": residuals,
         "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
     }

@@ -23,17 +23,21 @@ classical average bit for bit.
 
 Rasters are built and normalized in blocks of rows of about _BLOCK_PIXELS
 pixels, so each step's temporaries stay in cache; every pixel goes through
-the same elementwise operations as on the whole grid.
+the same elementwise operations as on the whole grid. The blocks are shared
+by the calling thread and helper threads, one per further CPU the process
+may use (limit them with ``taskset``); the output is identical for any count.
 
 Everything here is deterministic: fixed sample counts, fixed scan grids,
 bisection refinement.
 """
 from __future__ import annotations
 
+import contextvars
 import enum
 import json
 import os
 import tempfile
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,13 +92,19 @@ class PhasePolynomial:
     terms: tuple
     fallback_used: bool = False
 
-    def evaluate(self, x, y):
+    def evaluate(self, x, y, out=None, term=None):
+        """phi at (x, y). Given out and term, arrays of the broadcast shape, the
+        sum goes to out and each term is formed in term: the same arithmetic
+        with no allocation at that shape."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        total = np.zeros(np.broadcast(x, y).shape)
+        if out is None:
+            out = np.zeros(np.broadcast(x, y).shape)
+        else:
+            out[...] = 0.0
         for mx, my, coef in self.terms:
-            total += coef * x ** mx * y ** my
-        return total if total.shape else float(total)
+            out += np.multiply(coef * x ** mx, y ** my, out=term)
+        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +115,9 @@ class GridPattern:
     values: np.ndarray            # shape (ny, nx), rows ordered by ascending y
     kind: GridKind
     clamp_count: int = 0
+    # superposed pattern only: pixels above / below the classical average
+    constructive_count: int = 0
+    destructive_count: int = 0
 
 
 def _block_rows(nx):
@@ -112,9 +125,61 @@ def _block_rows(nx):
     return max(1, _BLOCK_PIXELS // nx)
 
 
-def _cos_phase(phi):
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, nx, ny, scratch=0):
+    """Run fn(rows, buffers) over the row blocks of an (ny, nx) raster;
+    returns the results in block order.
+
+    The calling thread and min(blocks, CPUs) - 1 helper threads take blocks
+    from one shared queue; each helper runs in a copy of the caller's
+    context, so numpy's error state holds there too. Each thread passes fn
+    the same ``scratch`` float64 arrays, cut to the block's shape, block
+    after block: temporaries freed at every block's end would make the
+    allocator return the pages and fault them in again. A block that raises
+    stops the others from starting new blocks, and its exception is raised
+    here once every helper has finished.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    step = _block_rows(nx)
+    pending = deque(enumerate(range(0, ny, step)))
+    results = [None] * len(pending)
+    helpers = min(len(pending), _cpu_count()) - 1
+
+    def drain():
+        buffers = np.empty((scratch, min(step, ny), nx))
+        while True:
+            try:
+                i, start = pending.popleft()
+            except IndexError:      # every block is taken
+                return
+            rows = slice(start, min(start + step, ny))
+            try:
+                results[i] = fn(rows, buffers[:, :rows.stop - start])
+            except BaseException:
+                pending.clear()     # start no further blocks
+                raise
+
+    # no thread starts unless a task is submitted
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
+    return results
+
+
+def _cos_phase(phi, out=None):
     # sin(pi/2 - phi) == cos(phi), but exactly 0.0 at phi == float(pi/2)
-    return np.sin(np.pi / 2.0 - phi)
+    return np.sin(np.subtract(np.pi / 2.0, phi, out=out), out=out)
 
 
 def _log_ratios(amplitude, mu, label):
@@ -368,13 +433,18 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
     return poly
 
 
-def _intensity_fields(config: WaveFieldConfig, x, y):
+def _gaussian(peak, u, dx, v, dy, out=None):
+    """peak * exp(-(u dx^2 + v dy^2)), computed in out when given."""
+    g = np.add(u * dx ** 2, v * dy ** 2, out=out)
+    return np.multiply(peak, np.exp(np.negative(g, out=out), out=out), out=out)
+
+
+def _intensity_fields(config: WaveFieldConfig, x, y, out=(None, None)):
     ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
     ub, vb = 1.0 / (2.0 * config.sigma_bx ** 2), 1.0 / (2.0 * config.sigma_by ** 2)
     a, b = config.center_b
-    i_a = config.amplitude_a * np.exp(-(ua * x ** 2 + va * y ** 2))
-    i_b = config.amplitude_b * np.exp(-(ub * (x - a) ** 2 + vb * (y - b) ** 2))
-    return i_a, i_b
+    return (_gaussian(config.amplitude_a, ua, x, va, y, out[0]),
+            _gaussian(config.amplitude_b, ub, x - a, vb, y - b, out[1]))
 
 
 def evaluate_at(config: WaveFieldConfig, phase: PhasePolynomial, points):
@@ -415,23 +485,28 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
     # arithmetic as on the whole grid, and the temporaries stay in cache
     x = xs[None, :]
     i_a, i_b, superposed, classical = (np.empty((ny, nx)) for _ in range(4))
-    clamps = 0
-    step = _block_rows(nx)
-    for start in range(0, ny, step):
-        rows = slice(start, start + step)
+
+    def block(rows, scratch):
         y = ys[rows, None]
-        a, b = _intensity_fields(config, x, y)
-        cla = 0.5 * (a + b)
-        i_a[rows], i_b[rows], classical[rows] = a, b, cla
-        raw = cla + np.sqrt(a * b) * _cos_phase(phase.evaluate(x, y))
-        clamps += int(np.count_nonzero(raw < 0.0))
-        np.maximum(raw, 0.0, out=superposed[rows])
+        root, phi, term = scratch
+        a, b = _intensity_fields(config, x, y, out=(i_a[rows], i_b[rows]))
+        cla = classical[rows]
+        np.multiply(0.5, np.add(a, b, out=cla), out=cla)
+        np.sqrt(np.multiply(a, b, out=root), out=root)
+        cos = _cos_phase(phase.evaluate(x, y, out=phi, term=term), out=phi)
+        raw = np.add(cla, np.multiply(root, cos, out=root), out=root)
+        sup = np.maximum(raw, 0.0, out=superposed[rows])
+        return (int(np.count_nonzero(raw < 0.0)), int(np.count_nonzero(sup > cla)),
+                int(np.count_nonzero(sup < cla)))
+
+    clamps, above, below = (sum(c) for c in zip(*_map_blocks(block, nx, ny, scratch=3)))
     ext = (x_min, x_max, y_min, y_max)
     return {
         GridKind.INTENSITY_A: GridPattern(nx, ny, ext, i_a, GridKind.INTENSITY_A),
         GridKind.INTENSITY_B: GridPattern(nx, ny, ext, i_b, GridKind.INTENSITY_B),
-        GridKind.SUPERPOSED: GridPattern(nx, ny, ext, superposed,
-                                         GridKind.SUPERPOSED, clamp_count=clamps),
+        GridKind.SUPERPOSED: GridPattern(nx, ny, ext, superposed, GridKind.SUPERPOSED,
+                                         clamp_count=clamps, constructive_count=above,
+                                         destructive_count=below),
         GridKind.CLASSICAL_AVERAGE: GridPattern(nx, ny, ext, classical,
                                                 GridKind.CLASSICAL_AVERAGE),
     }
@@ -490,10 +565,12 @@ def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
         vmax = float(values.max())
         norm = np.zeros(values.shape, dtype=">u2")
         if vmax > vmin:
-            step = _block_rows(pattern.nx)
-            for start in range(0, pattern.ny, step):
-                rows = slice(start, start + step)
-                norm[rows] = np.round((values[rows] - vmin) / (vmax - vmin) * 65535.0)
+            def block(rows, scratch):
+                t = np.subtract(values[rows], vmin, out=scratch[0])
+                np.multiply(np.divide(t, vmax - vmin, out=t), 65535.0, out=t)
+                norm[rows] = np.round(t, out=t)
+
+            _map_blocks(block, pattern.nx, pattern.ny, scratch=1)
         header = f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode()
         atomic_write(path, [header, memoryview(norm)])
         sidecar = path + ".json"

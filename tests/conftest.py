@@ -1,11 +1,14 @@
-"""Shared helpers: an in-process CLI runner."""
+"""Shared helpers: an in-process CLI runner, the raster's CPU count, a
+raster helper thread that fails."""
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from qconcepts import cli
+from qconcepts import cli, wavefield
+from qconcepts.errors import ModelError
 
 
 @pytest.fixture
@@ -29,3 +32,34 @@ def run_cli_json(run_cli):
         return code, (json.loads(out) if out.strip() else None), err
 
     return run
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set the CPU count the raster sees: set_cpus(n)."""
+
+    def set_count(cpus):
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: cpus)
+
+    return set_count
+
+
+@pytest.fixture
+def fail_in_a_helper(monkeypatch, set_cpus):
+    """Three CPUs, and the first raster block a helper thread runs raises a
+    ModelError; the caller's blocks wait until it has. Returns the list the
+    raised exception lands in."""
+    set_cpus(3)
+    caller, helper_started, raised = threading.get_ident(), threading.Event(), []
+    cos_phase = wavefield._cos_phase
+
+    def cos_or_fail(phi, out=None):
+        if threading.get_ident() == caller:
+            helper_started.wait(10.0)
+            return cos_phase(phi, out)
+        helper_started.set()
+        raised.append(ModelError("block failed in a helper"))
+        raise raised[-1]
+
+    monkeypatch.setattr(wavefield, "_cos_phase", cos_or_fail)
+    return raised

@@ -660,6 +660,15 @@ def test_overflowing_peak_ratio_is_one_json_error_on_stderr(tmp_path):
         "message": "muA weight 1e-320 is too small: its ratio to the peak 0.5 overflows"}}
 
 
+def test_wavefield_error_in_a_raster_helper_is_one_json_error(run_cli, tmp_path,
+                                                             fail_in_a_helper):
+    code, out, err = run_cli("wavefield", "--dataset", "fruits-vegetables-table2",
+                             "--out-dir", tmp_path, "--json")
+    assert fail_in_a_helper and code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ModelError",
+                                         "message": "block failed in a helper"}}
+
+
 @pytest.mark.parametrize("verb", ["disjunction-model", "wavefield"])
 def test_column_sum_error_prints_a_plain_float(run_cli, tmp_path, verb):
     path = tmp_path / "x.csv"

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qconcepts import wavefield
 from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
@@ -25,7 +28,6 @@ from qconcepts.wavefield import (
     _cos_phase,
     _curve_point,
     _fit_widths,
-    _intensity_fields,
     _log_ratios,
     default_config,
     evaluate_at,
@@ -42,6 +44,10 @@ SQ2INV = float(1.0 / np.sqrt(2.0))
 # a raster width and its rows per block, so block-edge grids track the constant
 BLOCK_NX = 512
 BLOCK = _block_rows(BLOCK_NX)
+
+# CPU counts the raster is checked under: the caller alone, one and two
+# helpers, and more CPUs than any grid here has blocks
+CPU_COUNTS = (1, 2, 3, 64)
 
 
 @pytest.fixture(scope="module")
@@ -412,15 +418,38 @@ def _dense_patterns(config, phase, grid):
     """Reference raster: full (ny, nx) coordinate grids, one new total per term."""
     x_min, x_max, y_min, y_max = DEFAULT_EXTENT
     x, y = np.meshgrid(np.linspace(x_min, x_max, grid[0]), np.linspace(y_min, y_max, grid[1]))
-    i_a, i_b = _intensity_fields(config, x, y)
+    # the field formulas spelled out, with none of the raster's helpers
+    ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
+    ub, vb = 1.0 / (2.0 * config.sigma_bx ** 2), 1.0 / (2.0 * config.sigma_by ** 2)
+    a, b = config.center_b
+    i_a = config.amplitude_a * np.exp(-(ua * x ** 2 + va * y ** 2))
+    i_b = config.amplitude_b * np.exp(-(ub * (x - a) ** 2 + vb * (y - b) ** 2))
     phi = np.zeros(x.shape)
     for mx, my, coef in phase.terms:
         phi = phi + coef * x ** mx * y ** my
     classical = 0.5 * (i_a + i_b)
-    raw = classical + np.sqrt(i_a * i_b) * _cos_phase(phi)
+    raw = classical + np.sqrt(i_a * i_b) * np.sin(np.pi / 2.0 - phi)
+    sup = np.maximum(raw, 0.0)
     values = {GridKind.INTENSITY_A: i_a, GridKind.INTENSITY_B: i_b,
-              GridKind.SUPERPOSED: np.maximum(raw, 0.0), GridKind.CLASSICAL_AVERAGE: classical}
-    return values, int(np.sum(raw < 0.0))
+              GridKind.SUPERPOSED: sup, GridKind.CLASSICAL_AVERAGE: classical}
+    counts = (int(np.sum(raw < 0.0)), int(np.sum(sup > classical)), int(np.sum(sup < classical)))
+    return values, counts
+
+
+def _check_raster(set_cpus, config, phase, grid):
+    """The raster under every CPU count equals the dense one, counts included,
+    and leaves no helper thread behind."""
+    values, counts = _dense_patterns(config, phase, grid)
+    threads = set(threading.enumerate())
+    for cpus in CPU_COUNTS:
+        set_cpus(cpus)
+        patterns = evaluate_patterns(config, phase, grid=grid)
+        assert set(threading.enumerate()) == threads, cpus
+        for kind in GridKind:
+            assert np.array_equal(patterns[kind].values, values[kind]), (cpus, kind)
+        sup = patterns[GridKind.SUPERPOSED]
+        assert (sup.clamp_count, sup.constructive_count, sup.destructive_count) == counts, cpus
+    return values, counts
 
 
 @pytest.mark.parametrize("grid", [
@@ -432,29 +461,74 @@ def _dense_patterns(config, phase, grid):
     # a row wider than the block budget still makes a block of one row
     (_BLOCK_PIXELS + 1, 2),
 ])
-def test_raster_matches_dense_grid(table2, grid):
+def test_raster_matches_dense_grid(table2, grid, set_cpus):
     _, config, _, poly = table2
-    patterns = evaluate_patterns(config, poly, grid=grid)
-    values, clamps = _dense_patterns(config, poly, grid)
-    for kind in GridKind:
-        assert np.array_equal(patterns[kind].values, values[kind]), kind
-    assert patterns[GridKind.SUPERPOSED].clamp_count == clamps
+    _check_raster(set_cpus, config, poly, grid)
 
 
-def test_raster_clamp_count_adds_up_over_blocks():
+def test_raster_clamp_count_adds_up_over_blocks(set_cpus):
     # coincident identical sources at phase pi: raw = I - sqrt(I * I), which
     # goes negative where I * I is subnormal, so clamps fall in every block
     config = WaveFieldConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0.0, 0.0))
     poly = PhasePolynomial(((0, 0, float(np.pi)),))
     grid = (BLOCK_NX, 2 * BLOCK + 1)
-    patterns = evaluate_patterns(config, poly, grid=grid)
-    values, clamps = _dense_patterns(config, poly, grid)
-    for kind in GridKind:
-        assert np.array_equal(patterns[kind].values, values[kind]), kind
-    assert patterns[GridKind.SUPERPOSED].clamp_count == clamps
+    values, (clamps, _, _) = _check_raster(set_cpus, config, poly, grid)
     zeroed = values[GridKind.SUPERPOSED] == 0.0
     assert all(zeroed[start:start + BLOCK].any() for start in range(0, grid[1], BLOCK))
     assert clamps > 0
+
+
+def test_raster_blocks_survive_thread_switches(table2, set_cpus, monkeypatch):
+    # one-row blocks, up to 63 helpers and a thread switch every microsecond:
+    # every block runs exactly once, and the raster stays exact
+    _, config, _, poly = table2
+    monkeypatch.setattr(wavefield, "_BLOCK_PIXELS", 64)
+    first_rows = []
+    fields = wavefield._intensity_fields
+
+    def recorded(config, x, y, out):
+        first_rows.append(float(y[0, 0]))
+        return fields(config, x, y, out)
+
+    monkeypatch.setattr(wavefield, "_intensity_fields", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_raster(set_cpus, config, poly, (64, 300))
+    finally:
+        sys.setswitchinterval(interval)
+    ys = np.linspace(DEFAULT_EXTENT[2], DEFAULT_EXTENT[3], 300).tolist()
+    assert sorted(first_rows) == sorted(ys * len(CPU_COUNTS))
+
+
+def test_a_helper_error_reaches_the_caller_and_no_helper_outlives_it(
+        table2, fail_in_a_helper):
+    _, config, _, poly = table2
+    before = set(threading.enumerate())
+    with pytest.raises(ModelError, match="in a helper") as info:
+        evaluate_patterns(config, poly, grid=(BLOCK_NX, 4 * BLOCK))
+    # the object a helper raised, not a copy (two helpers may both have raised)
+    assert any(info.value is exc for exc in fail_in_a_helper)
+    assert set(threading.enumerate()) == before
+
+
+def test_helpers_run_under_the_callers_numpy_error_state(table2, set_cpus):
+    _, config, _, poly = table2
+    # x ** 4 overflows on every row of this extent
+    extent, grid = (-1e100, 1e100, -15.0, 20.0), (BLOCK_NX, 4 * BLOCK)
+    reference = None
+    for cpus in CPU_COUNTS:
+        set_cpus(cpus)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evaluate_patterns(config, poly, grid=grid, extent=extent)
+        # a helper under the default state would warn, an error under pytest
+        with np.errstate(all="ignore"):
+            patterns = evaluate_patterns(config, poly, grid=grid, extent=extent)
+        reference = patterns if reference is None else reference
+        for kind in GridKind:
+            assert np.array_equal(patterns[kind].values, reference[kind].values,
+                                  equal_nan=True), (cpus, kind)
+    assert np.isnan(reference[GridKind.SUPERPOSED].values).any()
 
 
 def _csv_reference(pattern):
@@ -533,6 +607,9 @@ def test_export_pgm_and_sidecar(tmp_path, table2):
     assert meta["value_min"] == float(sup.values.min())
     assert meta["value_max"] == float(sup.values.max())
     assert meta["clamp_count"] == sup.clamp_count
+    # the census stays out of the sidecar
+    assert set(meta) == {"kind", "nx", "ny", "extent", "value_min", "value_max", "rows",
+                         "clamp_count"}
 
 
 def test_export_pgm_flat_pattern_is_all_zero(tmp_path):
@@ -574,20 +651,22 @@ def _half_level_pattern():
     return GridPattern(256, 256, (0.0, 1.0, 0.0, 1.0), values, GridKind.INTENSITY_A)
 
 
-def test_export_pgm_matches_whole_array_normalization(tmp_path, table2):
+def test_export_pgm_matches_whole_array_normalization(tmp_path, table2, set_cpus):
     _, config, _, poly = table2
-    patterns = list(evaluate_patterns(config, poly, grid=(37, 23)).values())
-    partial = evaluate_patterns(config, poly, grid=(BLOCK_NX, 2 * BLOCK + 1))
-    assert partial[GridKind.SUPERPOSED].ny % BLOCK == 1
-    patterns += list(partial.values())
-    patterns.append(GridPattern(5, 3, (0.0, 1.0, 0.0, 1.0), np.zeros((3, 5)),
-                                GridKind.CLASSICAL_AVERAGE))
-    patterns.append(_ulp_pattern())
-    patterns.append(_half_level_pattern())
-    for i, pattern in enumerate(patterns):
-        path = tmp_path / f"{i}.pgm"
-        export_grid(pattern, str(path), fmt="pgm")
-        assert path.read_bytes() == _pgm_reference(pattern), (i, pattern.kind)
+    for cpus in CPU_COUNTS:
+        set_cpus(cpus)
+        patterns = list(evaluate_patterns(config, poly, grid=(37, 23)).values())
+        partial = evaluate_patterns(config, poly, grid=(BLOCK_NX, 2 * BLOCK + 1))
+        assert partial[GridKind.SUPERPOSED].ny % BLOCK == 1
+        patterns += list(partial.values())
+        patterns.append(GridPattern(5, 3, (0.0, 1.0, 0.0, 1.0), np.zeros((3, 5)),
+                                    GridKind.CLASSICAL_AVERAGE))
+        patterns.append(_ulp_pattern())
+        patterns.append(_half_level_pattern())
+        for i, pattern in enumerate(patterns):
+            path = tmp_path / f"{i}.pgm"
+            export_grid(pattern, str(path), fmt="pgm")
+            assert path.read_bytes() == _pgm_reference(pattern), (cpus, i, pattern.kind)
     payload = np.frombuffer(_pgm_reference(_ulp_pattern())[len(b"P5\n4 3\n65535\n"):],
                             dtype=">u2")
     assert payload[[0, 3, 4, 7]].tolist() == [0, 65535, 65535, 0]
