@@ -9,7 +9,7 @@ two-source Gaussian wavefield rendering interference as a raster.
 Modules:
 
 * ``hilbert``: state vectors, projectors, spectral families, Born rule,
-  collapse, tensor products, Schmidt rank.
+  tensor products, Schmidt rank.
 * ``classicality``: delta/k/f diagnostics and over/underextension classes.
 * ``fock``: two-sector weight combination and angle extraction, plus the
   3-d constructive realization.
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 from . import classicality, disjunction_model, entanglement, fock, hilbert, wavefield
 from .errors import (
-    CollapseImpossible,
     ConstructionInapplicable,
     DataError,
     DimensionMismatch,
@@ -44,7 +43,6 @@ __all__ = [
     "fock",
     "hilbert",
     "wavefield",
-    "CollapseImpossible",
     "ConstructionInapplicable",
     "DataError",
     "DimensionMismatch",

@@ -76,8 +76,7 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def batch_diagnose(mu_a, mu_b, mu_joint, is_and,
-                   slack: float = ZERO_SLACK) -> ClassicalityColumns:
+def batch_diagnose(mu_a, mu_b, mu_joint, is_and) -> ClassicalityColumns:
     """Diagnostics for columns of weights; ``is_and`` marks conjunction rows.
 
     Each row gets the same IEEE operations, in the same order, as the
@@ -91,30 +90,28 @@ def batch_diagnose(mu_a, mu_b, mu_joint, is_and,
     delta = np.where(is_and, j - lo, hi - j)
     k = np.where(is_and, 1.0 - a - b + j, a + b - j)
     f = np.where(is_and, _min(half_sum - j, j - a * b), _min(j - half_sum, a + b - a * b - j))
-    classical = (delta <= slack) & (k >= -slack)
-    single = delta > slack
+    classical = (delta <= ZERO_SLACK) & (k >= -ZERO_SLACK)
+    single = delta > ZERO_SLACK
     ext = np.where(is_and,
-                   np.where(j > hi + slack, _DOUBLE_OVER, np.where(single, _OVER, _NONE)),
-                   np.where(j < lo - slack, _DOUBLE_UNDER, np.where(single, _UNDER, _NONE)))
+                   np.where(j > hi + ZERO_SLACK, _DOUBLE_OVER, np.where(single, _OVER, _NONE)),
+                   np.where(j < lo - ZERO_SLACK, _DOUBLE_UNDER, np.where(single, _UNDER, _NONE)))
     return ClassicalityColumns(delta, k, f, classical, ext)
 
 
-def _one_row(mu_a, mu_b, mu_joint, is_and, slack) -> ClassicalityReport:
-    cols = batch_diagnose([mu_a], [mu_b], [mu_joint], [is_and], slack)
+def _one_row(mu_a, mu_b, mu_joint, is_and) -> ClassicalityReport:
+    cols = batch_diagnose([mu_a], [mu_b], [mu_joint], [is_and])
     return ClassicalityReport(float(cols.delta[0]), float(cols.kolmogorov_factor[0]),
                               float(cols.interference_need[0]),
                               bool(cols.classical_representable[0]),
                               cols.extension_class[0])
 
 
-def conjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float,
-                            slack: float = ZERO_SLACK) -> ClassicalityReport:
+def conjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float) -> ClassicalityReport:
     """Diagnostics for mu(A and B) against its components."""
-    return _one_row(mu_a, mu_b, mu_joint, True, slack)
+    return _one_row(mu_a, mu_b, mu_joint, True)
 
 
-def disjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float,
-                            slack: float = ZERO_SLACK) -> ClassicalityReport:
+def disjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float) -> ClassicalityReport:
     """Diagnostics for mu(A or B) against its components."""
-    return _one_row(mu_a, mu_b, mu_joint, False, slack)
+    return _one_row(mu_a, mu_b, mu_joint, False)
 

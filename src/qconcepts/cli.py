@@ -135,14 +135,20 @@ def _input_digests(args) -> dict:
         raise DataError(f"cannot read {args.input}: {exc.strerror or exc}") from None
 
 
-def _manifest(argv, args, parameters, outputs) -> dict:
-    return {
+def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
+    """Write the run manifest ``name`` in ``out``, adding dataset, input and out_dir."""
+    parameters = dict(parameters, dataset=getattr(args, "dataset", None),
+                      input=str(args.input) if getattr(args, "input", None) else None,
+                      out_dir=out)
+    manifest = {
         "command": list(argv),
         "inputs": _input_digests(args),
         "parameters": parameters,
         "outputs": sorted(outputs),
         "tool_version": __version__,
     }
+    wavefield.atomic_write(os.path.join(out, name), [(_dumps(manifest) + "\n").encode()])
+    return manifest
 
 
 def _emit(args, payload: dict, human_lines, encoded=None):
@@ -214,14 +220,8 @@ def _cmd_classicality(args, argv) -> int:
     lines = map(",".join, zip(*csv_cells))
     wavefield.atomic_write(os.path.join(out, csv_name),
                            ["\n".join([header, *lines]).encode(), b"\n"])
-    manifest = _manifest(argv, args, {
-        "dataset": getattr(args, "dataset", None),
-        "input": str(args.input) if getattr(args, "input", None) else None,
-        "slack": classicality.ZERO_SLACK,
-        "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
-    }, [json_name, csv_name])
-    wavefield.atomic_write(os.path.join(out, "classicality_manifest.json"),
-                           [(_dumps(manifest) + "\n").encode()])
+    manifest = _write_manifest(argv, args, out, "classicality_manifest.json",
+                               {"slack": classicality.ZERO_SLACK}, [json_name, csv_name])
 
     def human():
         n = len(table)
@@ -428,8 +428,6 @@ def _cmd_wavefield(args, argv) -> int:
                                         fmt=args.format)
         outputs.extend(os.path.basename(p) for p in written)
     parameters = {
-        "dataset": getattr(args, "dataset", None),
-        "input": str(args.input) if getattr(args, "input", None) else None,
         "grid": list(args.grid),
         "extent": list(wavefield.DEFAULT_EXTENT),
         "format": args.format,
@@ -448,11 +446,8 @@ def _cmd_wavefield(args, argv) -> int:
         "sign_source": model.sign_source,
         "clamp_count": sup.clamp_count,
         "residuals": residuals,
-        "out_dir": args.out_dir or os.environ.get("QCONCEPTS_OUT_DIR") or ".",
     }
-    manifest = _manifest(argv, args, parameters, outputs)
-    wavefield.atomic_write(os.path.join(out, "wavefield_manifest.json"),
-                           [(_dumps(manifest) + "\n").encode()])
+    manifest = _write_manifest(argv, args, out, "wavefield_manifest.json", parameters, outputs)
 
     human = [
         f"fitted widths: sigma_A = {_sig(config.sigma_ax)} (circular),"

@@ -48,7 +48,6 @@ class CoincidenceTable:
     p22: float
     outcome_names: tuple = DEFAULT_OUTCOME_NAMES
     total: float | None = None
-    slack: float = NORMALIZATION_SLACK
 
     def __post_init__(self):
         if len(self.outcome_names) != 4:
@@ -61,10 +60,10 @@ class CoincidenceTable:
         if any(p > 1 for p in probs):
             raise ModelError(f"{self.label}: entries above 1; normalize counts first")
         deficit = abs(sum(probs) - 1.0)
-        if deficit > self.slack:
+        if deficit > NORMALIZATION_SLACK:
             raise ModelError(
                 f"{self.label}: probabilities sum to {sum(probs)!r}, "
-                f"off by {deficit!r} (allowed {self.slack})"
+                f"off by {deficit!r} (allowed {NORMALIZATION_SLACK})"
             )
 
     @property
@@ -72,8 +71,8 @@ class CoincidenceTable:
         return (self.p11, self.p12, self.p21, self.p22)
 
 
-def coincidence_from_values(label, values, outcome_names=DEFAULT_OUTCOME_NAMES,
-                            slack=NORMALIZATION_SLACK) -> CoincidenceTable:
+def coincidence_from_values(label, values,
+                            outcome_names=DEFAULT_OUTCOME_NAMES) -> CoincidenceTable:
     """Build a table from probabilities or raw counts (auto-detected)."""
     vals = [float(v) for v in values]
     if len(vals) != 4:
@@ -86,8 +85,7 @@ def coincidence_from_values(label, values, outcome_names=DEFAULT_OUTCOME_NAMES,
         if total <= 0:
             raise ModelError(f"{label}: counts sum to zero")
         vals = [v / total for v in vals]
-    return CoincidenceTable(label, *vals, outcome_names=tuple(outcome_names),
-                            total=total, slack=slack)
+    return CoincidenceTable(label, *vals, outcome_names=tuple(outcome_names), total=total)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ class ConstructionInapplicable(ModelError):
     """Input weights violate a constructive precondition."""
 
 
-class CollapseImpossible(ModelError):
-    """Projection produced (numerically) zero probability."""
-
-
 class PlacementError(ModelError):
     """Level curves of the two intensity constraints do not intersect."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionInapplicable, ModelError, check_unit_interval
-from .hilbert import Projector, StateVector, arccos_clamped
+from .hilbert import ALGEBRAIC_TOL, Projector, StateVector, arccos_clamped
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,13 @@ class FockWeights:
 
     m_sq: float
     n_sq: float
-    tol: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.m_sq) and math.isfinite(self.n_sq)):
             raise ModelError(f"sector weights must be finite, got {self.m_sq!r}, {self.n_sq!r}")
         if self.m_sq < 0 or self.n_sq < 0:
             raise ModelError("sector weights must be non-negative")
-        if abs(self.m_sq + self.n_sq - 1.0) > self.tol:
+        if abs(self.m_sq + self.n_sq - 1.0) > ALGEBRAIC_TOL:
             raise ModelError(
                 f"sector weights must sum to 1, got {self.m_sq + self.n_sq!r}"
             )
@@ -50,7 +49,6 @@ class InterferenceSolution:
     """Extracted angle plus the concrete 3-d realization when it exists."""
 
     beta: float                      # radians
-    weights: FockWeights
     vector_a: StateVector | None = None
     vector_b: StateVector | None = None
     projector: Projector | None = None
@@ -151,7 +149,7 @@ def solve_interference(mu_a: float, mu_b: float, mu_joint: float, connective: st
     vec_a = vec_b = proj = None
     if mu_a > 0.0 and mu_a + mu_b >= 1.0:
         vec_a, vec_b, proj = build_c3_vectors(mu_a, mu_b, beta)
-    return InterferenceSolution(beta, weights, vec_a, vec_b, proj)
+    return InterferenceSolution(beta, vec_a, vec_b, proj)
 
 
 def complex_sum_interference(a: float, alpha: float, b: float, beta: float) -> float:

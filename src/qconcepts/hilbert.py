@@ -1,14 +1,13 @@
 """Finite-dimensional complex Hilbert space primitives.
 
-State vectors, projectors, spectral families, Born probabilities, collapse,
-tensor products, and the clamped cosine inversion that turns a Born
-relation into an interference angle. Everything is dense numpy; the
-dimensions in play stay well below the point where sparsity would pay off.
+State vectors, projectors, spectral families, Born probabilities, tensor
+products, and the clamped cosine inversion that turns a Born relation into
+an interference angle. Everything is dense numpy; the dimensions in play
+stay well below the point where sparsity would pay off.
 
-Two default tolerances are used throughout: a structural tolerance (1e-9)
-for normalization, idempotence and completeness checks, and a tighter
-algebraic tolerance (1e-12) for identities that hold to rounding error.
-Both can be overridden per call or per object.
+Two fixed tolerances are used throughout: STRUCTURAL_TOL (1e-9) for
+normalization, idempotence and completeness checks, and the tighter
+ALGEBRAIC_TOL (1e-12) for identities that hold to rounding error.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollapseImpossible, DimensionMismatch, ModelError, NoInterferenceSolution
+from .errors import DimensionMismatch, ModelError, NoInterferenceSolution
 
 STRUCTURAL_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-12
@@ -37,14 +36,13 @@ class StateVector:
 
     components: np.ndarray
     normalized: bool = True
-    tol: float = STRUCTURAL_TOL
 
     def __post_init__(self):
         arr = _as_complex_array(self.components)
         object.__setattr__(self, "components", arr)
         if self.normalized:
             nrm = np.linalg.norm(arr)
-            if abs(nrm - 1.0) > self.tol:
+            if abs(nrm - 1.0) > STRUCTURAL_TOL:
                 raise ModelError(
                     f"state vector not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}"
                 )
@@ -64,17 +62,16 @@ class Projector:
     a dense matrix only on demand.
     """
 
-    def __init__(self, matrix=None, basis_indices=None, dim=None, tol=STRUCTURAL_TOL):
+    def __init__(self, matrix=None, basis_indices=None, dim=None):
         if (matrix is None) == (basis_indices is None):
             raise ModelError("provide exactly one of matrix or basis_indices")
-        self.tol = tol
         if matrix is not None:
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ModelError("projector matrix must be square")
-            if np.max(np.abs(m - m.conj().T)) > tol:
+            if np.max(np.abs(m - m.conj().T)) > STRUCTURAL_TOL:
                 raise ModelError("projector matrix is not Hermitian")
-            if np.max(np.abs(m @ m - m)) > tol:
+            if np.max(np.abs(m @ m - m)) > STRUCTURAL_TOL:
                 raise ModelError("projector matrix is not idempotent")
             self._matrix = m
             self._indices = None
@@ -94,10 +91,6 @@ class Projector:
     @property
     def dim(self) -> int:
         return self._dim
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._indices is not None
 
     @property
     def basis_indices(self):
@@ -120,12 +113,6 @@ class Projector:
             out[list(self._indices)] = components[list(self._indices)]
             return out
         return self.matrix @ components
-
-    def complement(self) -> "Projector":
-        if self._indices is not None:
-            rest = [i for i in range(self._dim) if i not in set(self._indices)]
-            return Projector(basis_indices=rest, dim=self._dim, tol=self.tol)
-        return Projector(matrix=np.eye(self._dim) - self.matrix, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,7 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(ca, cb))
 
 
-def born_probability(state, projector: Projector, tol: float = STRUCTURAL_TOL) -> float:
+def born_probability(state, projector: Projector) -> float:
     """<s|M|s> for a projector M; validated real and inside [0, 1]."""
     comps = state.components if isinstance(state, StateVector) else _as_complex_array(state)
     idx = projector.basis_indices
@@ -169,19 +156,9 @@ def born_probability(state, projector: Projector, tol: float = STRUCTURAL_TOL) -
     if abs(val.imag) > ALGEBRAIC_TOL:
         raise ModelError(f"Born probability not real: imag = {val.imag:.3e}")
     p = val.real
-    if p < -tol or p > 1.0 + tol:
+    if p < -STRUCTURAL_TOL or p > 1.0 + STRUCTURAL_TOL:
         raise ModelError(f"Born probability outside [0, 1]: {p!r}")
     return min(max(p, 0.0), 1.0)
-
-
-def collapse(state, projector: Projector, tol: float = STRUCTURAL_TOL) -> StateVector:
-    """Normalized projection M|s> / ||M|s>||."""
-    comps = state.components if isinstance(state, StateVector) else _as_complex_array(state)
-    proj = projector.apply(comps)
-    nrm = np.linalg.norm(proj)
-    if nrm ** 2 <= ALGEBRAIC_TOL:
-        raise CollapseImpossible("collapse impossible: outcome has zero probability")
-    return StateVector(proj / nrm, tol=tol)
 
 
 def tensor_product(a, b) -> StateVector:
@@ -191,28 +168,28 @@ def tensor_product(a, b) -> StateVector:
     return StateVector(np.kron(ca, cb), normalized=False)
 
 
-def schmidt_rank(state, dims, tol: float = STRUCTURAL_TOL) -> int:
-    """Number of Schmidt coefficients above tol for a state in C^(da*db)."""
+def schmidt_rank(state, dims) -> int:
+    """Number of Schmidt coefficients above STRUCTURAL_TOL for a state in C^(da*db)."""
     da, db = int(dims[0]), int(dims[1])
     comps = state.components if isinstance(state, StateVector) else _as_complex_array(state)
     if comps.size != da * db:
         raise DimensionMismatch(f"state dim {comps.size} != {da}*{db}")
     s = np.linalg.svd(comps.reshape(da, db), compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > STRUCTURAL_TOL))
 
 
-def validate_spectral_family(family: SpectralFamily, tol: float = STRUCTURAL_TOL) -> ValidationReport:
+def validate_spectral_family(family: SpectralFamily) -> ValidationReport:
     """Check pairwise orthogonality and completeness; report violating pairs."""
     violations = []
     mats = [p.matrix for p in family.projectors]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             worst = float(np.max(np.abs(mats[i] @ mats[j])))
-            if worst > tol:
+            if worst > STRUCTURAL_TOL:
                 violations.append((i, j, worst))
     total = sum(mats) if mats else np.zeros((family.dim, family.dim))
     defect = float(np.max(np.abs(total - np.eye(family.dim))))
-    ok = not violations and defect <= tol
+    ok = not violations and defect <= STRUCTURAL_TOL
     return ValidationReport(ok, tuple(violations), defect)
 
 

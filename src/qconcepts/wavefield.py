@@ -447,18 +447,26 @@ def _intensity_fields(config: WaveFieldConfig, x, y, out=(None, None)):
             _gaussian(config.amplitude_b, ub, x - a, vb, y - b, out[1]))
 
 
+def _fields(config, phase, x, y, out=(None,) * 3, scratch=(None,) * 3):
+    """(I_A, I_B, classical average, unclamped superposed) at (x, y): the first
+    three in ``out``, the last in scratch[0] of (root, phase, term), if given."""
+    i_a, i_b = _intensity_fields(config, x, y, out=out[:2])
+    root, phi, term = scratch
+    classical = np.multiply(0.5, np.add(i_a, i_b, out=out[2]), out=out[2])
+    root = np.sqrt(np.multiply(i_a, i_b, out=root), out=root)
+    cos = _cos_phase(phase.evaluate(x, y, out=phi, term=term), out=phi)
+    return i_a, i_b, classical, np.add(classical, np.multiply(root, cos, out=root), out=root)
+
+
 def evaluate_at(config: WaveFieldConfig, phase: PhasePolynomial, points):
     """Pointwise field values: (intensity_a, intensity_b, superposed, classical).
 
-    Same per-point arithmetic as the raster path; the superposed value is
-    clamped at zero.
+    The raster's kernel (``_fields``); the superposed value is clamped at
+    zero.
     """
     pts = np.asarray(points, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    i_a, i_b = _intensity_fields(config, x, y)
-    classical = 0.5 * (i_a + i_b)
-    superposed = classical + np.sqrt(i_a * i_b) * _cos_phase(phase.evaluate(x, y))
-    return i_a, i_b, np.maximum(superposed, 0.0), classical
+    i_a, i_b, classical, raw = _fields(config, phase, pts[..., 0], pts[..., 1])
+    return i_a, i_b, np.maximum(raw, 0.0), classical
 
 
 def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
@@ -487,14 +495,8 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
     i_a, i_b, superposed, classical = (np.empty((ny, nx)) for _ in range(4))
 
     def block(rows, scratch):
-        y = ys[rows, None]
-        root, phi, term = scratch
-        a, b = _intensity_fields(config, x, y, out=(i_a[rows], i_b[rows]))
-        cla = classical[rows]
-        np.multiply(0.5, np.add(a, b, out=cla), out=cla)
-        np.sqrt(np.multiply(a, b, out=root), out=root)
-        cos = _cos_phase(phase.evaluate(x, y, out=phi, term=term), out=phi)
-        raw = np.add(cla, np.multiply(root, cos, out=root), out=root)
+        _, _, cla, raw = _fields(config, phase, x, ys[rows, None],
+                                 (i_a[rows], i_b[rows], classical[rows]), scratch)
         sup = np.maximum(raw, 0.0, out=superposed[rows])
         return (int(np.count_nonzero(raw < 0.0)), int(np.count_nonzero(sup > cla)),
                 int(np.count_nonzero(sup < cla)))

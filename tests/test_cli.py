@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -107,6 +108,39 @@ def test_classicality_rerun_is_byte_identical(run_cli_json, tmp_path):
     m1 = json.loads((d1 / "classicality_manifest.json").read_text())
     m2 = json.loads((d2 / "classicality_manifest.json").read_text())
     assert m1["inputs"] == m2["inputs"] and m1["outputs"] == m2["outputs"]
+
+
+# sha256 of bundled outputs that are pure IEEE arithmetic (no libm exp, sin
+# or arccos, whose last bit may vary by platform); these bytes are frozen
+BUNDLED_DIGESTS = {
+    ("classicality", "--dataset", "hampton-table3", "--out-dir", "out", "--json"): {
+        "stdout": "58e62f33c6c70a0088e7ba5203756b0077923dfcf528021146ce6e63e2518d7e",
+        "out/classicality.json":
+            "16fea0d20c3c7a7230ca4becf23f82248b27032b2eac7adc1dd09f597288410e",
+        "out/classicality.csv":
+            "8454715c2f07415c5bbd5a69272a3091c789b063038f87f2a73bf6a44b8da823",
+        "out/classicality_manifest.json":
+            "5ebe1d2af21fd9ba2b18e34ec9460b825bc822c63e365786395570c908e814b6",
+    },
+    ("chsh", "--dataset", "animal-acts-table1", "--json"): {
+        "stdout": "81f9daf2567659cfb4cd81622655c7641ebddfabacf990be98a8298ca89f78bd",
+    },
+    ("datasets", "--json"): {
+        "stdout": "882e72456203ac996f11470e0a36e6e86c8dbca18d7468f481f77bca60cde287",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(BUNDLED_DIGESTS), ids=lambda argv: argv[0])
+def test_bundled_outputs_keep_their_bytes(run_cli, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)     # fixes the argv and out_dir the manifest records
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    data = {"stdout": out.encode()}
+    data.update((name, (tmp_path / name).read_bytes())
+                for name in BUNDLED_DIGESTS[argv] if name != "stdout")
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()}
+    assert digests == BUNDLED_DIGESTS[argv]
 
 
 def test_classicality_accepts_input_file(run_cli_json, tmp_path):

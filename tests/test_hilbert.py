@@ -1,4 +1,4 @@
-"""State vectors, projectors, Born rule, collapse, tensors, spectral families."""
+"""State vectors, projectors, Born rule, tensors, spectral families."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconcepts.errors import CollapseImpossible, DimensionMismatch, ModelError
+from qconcepts.errors import DimensionMismatch, ModelError
 from qconcepts.hilbert import (
     ALGEBRAIC_TOL,
     STRUCTURAL_TOL,
@@ -14,7 +14,6 @@ from qconcepts.hilbert import (
     SpectralFamily,
     StateVector,
     born_probability,
-    collapse,
     inner_product,
     schmidt_rank,
     tensor_product,
@@ -82,7 +81,7 @@ def test_inner_product_dimension_mismatch():
 
 def test_projector_diagonal_indices():
     p = Projector(basis_indices=(2, 0), dim=4)
-    assert p.is_diagonal
+    assert p.basis_indices is not None
     assert p.basis_indices == (0, 2)
     assert p.dim == 4
     m = p.matrix
@@ -94,7 +93,7 @@ def test_projector_dense_validation():
     m = np.outer(v, v)
     p = Projector(matrix=m)
     assert p.dim == 2
-    assert not p.is_diagonal
+    assert p.basis_indices is None
 
 
 def test_projector_rejects_non_idempotent():
@@ -121,13 +120,6 @@ def test_projector_indices_validated():
         Projector(basis_indices=(0, 0), dim=3)
 
 
-def test_projector_complement():
-    p = Projector(basis_indices=(0,), dim=3)
-    q = p.complement()
-    assert q.basis_indices == (1, 2)
-    assert np.allclose(p.matrix + q.matrix, np.eye(3))
-
-
 def test_projector_apply_zeroes_excluded_coordinates():
     p = Projector(basis_indices=(1,), dim=3)
     out = p.apply(np.array([1.0, 2.0, 3.0], dtype=complex))
@@ -140,7 +132,7 @@ def test_born_probability_diagonal_sums_squares():
     s = StateVector([0.6, 0.8j])
     p = Projector(basis_indices=(0,), dim=2)
     assert born_probability(s, p) == pytest.approx(0.36, abs=1e-12)
-    assert born_probability(s, p.complement()) == pytest.approx(0.64, abs=1e-12)
+    assert born_probability(s, Projector(basis_indices=(1,), dim=2)) == pytest.approx(0.64, abs=1e-12)
 
 
 def test_born_probability_matches_quadratic_form():
@@ -165,11 +157,11 @@ def test_born_probability_dimension_mismatch():
         born_probability(StateVector([1.0, 0.0]), Projector(basis_indices=(0,), dim=3))
 
 
-def _born_zero_filled(comps, projector, tol=STRUCTURAL_TOL):
+def _born_zero_filled(comps, projector):
     """Reference Born rule: vdot of the state with its zero-filled projection."""
     if comps.shape[0] != projector.dim:
         raise DimensionMismatch(f"projector dim {projector.dim} vs state dim {comps.shape[0]}")
-    if projector.is_diagonal:
+    if projector.basis_indices is not None:
         proj = np.zeros_like(comps)
         if projector.basis_indices:
             sel = np.array(projector.basis_indices)
@@ -180,7 +172,7 @@ def _born_zero_filled(comps, projector, tol=STRUCTURAL_TOL):
     if abs(val.imag) > ALGEBRAIC_TOL:
         raise ModelError(f"Born probability not real: imag = {val.imag:.3e}")
     p = val.real
-    if p < -tol or p > 1.0 + tol:
+    if p < -STRUCTURAL_TOL or p > 1.0 + STRUCTURAL_TOL:
         raise ModelError(f"Born probability outside [0, 1]: {p!r}")
     return min(max(p, 0.0), 1.0)
 
@@ -222,31 +214,6 @@ def test_born_probability_on_every_basis_direction_of_a_large_state(dim):
         projector = Projector(basis_indices=(k,), dim=dim)
         assert _outcome(born_probability, comps, projector) == \
             _outcome(_born_zero_filled, comps, projector)
-
-
-# --------------------------------------------------------------------- collapse
-
-def test_collapse_renormalizes():
-    s = StateVector(np.array([0.6, 0.0, 0.8]) + 0j)
-    p = Projector(basis_indices=(0, 1), dim=3)
-    c = collapse(s, p)
-    assert c.norm() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(c.components, [1.0, 0.0, 0.0])
-
-
-def test_collapse_impossible_on_zero_probability():
-    s = StateVector([1.0, 0.0])
-    p = Projector(basis_indices=(1,), dim=2)
-    with pytest.raises(CollapseImpossible):
-        collapse(s, p)
-
-
-def test_collapse_preserves_relative_phases():
-    s = StateVector(np.array([0.5, 0.5j, np.sqrt(0.5)], dtype=complex))
-    p = Projector(basis_indices=(0, 1), dim=3)
-    c = collapse(s, p)
-    ratio = c.components[1] / c.components[0]
-    assert ratio == pytest.approx(1j, abs=1e-12)
 
 
 # ----------------------------------------------------------------- tensor space
