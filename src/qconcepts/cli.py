@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -84,14 +83,9 @@ def _encode_each(encode, strings) -> list:
     return list(map(memo.__getitem__, strings))
 
 
-def _json_floats(values) -> list:
-    """JSON text of each float as json.dumps writes it: repr when finite, null for None."""
-    r, finite = float.__repr__, math.isfinite
-    return [("null" if v is None else r(v) if finite(v) else json.dumps(v)) for v in values]
-
-
 def _json_float_column(col) -> list:
-    """``_json_floats`` of a float64 array, each distinct value formatted once.
+    """JSON text of each float as json.dumps writes it, each distinct value
+    formatted once.
 
     Worth it where values repeat, as survey weights do. Values are keyed by
     bit pattern: ``np.unique`` on the values would merge -0.0 with 0.0,
@@ -345,13 +339,15 @@ def _cmd_disjunction_model(args, argv) -> int:
     rows_json = _json_rows({
         "index": [str(r.index) for r in model.rows],
         "name": _encode_each(_encode_str, [r.name for r in model.rows]),
-        "muA": _json_floats([r.mu_a for r in model.rows]),
-        "muB": _json_floats([r.mu_b for r in model.rows]),
-        "muAorB": _json_floats([r.mu_a_or_b for r in model.rows]),
-        "phi_deg_supplied": _json_floats([r.phi_deg for r in model.rows]),
-        "phi_deg": _json_floats(phi_deg),
-        "prediction": _json_floats(predictions),
-        "abs_error": _json_floats(errors),
+        "muA": _json_float_column([r.mu_a for r in model.rows]),
+        "muB": _json_float_column([r.mu_b for r in model.rows]),
+        "muAorB": _json_float_column([r.mu_a_or_b for r in model.rows]),
+        # supplied for every row or for none (build_model enforces it)
+        "phi_deg_supplied": (_json_float_column([r.phi_deg for r in model.rows])
+                             if model.sign_source == "supplied" else ["null"] * len(rows)),
+        "phi_deg": _json_float_column(phi_deg),
+        "prediction": _json_float_column(predictions),
+        "abs_error": _json_float_column(errors),
     })
     payload = {
         "dim": model.dim,
@@ -362,7 +358,7 @@ def _cmd_disjunction_model(args, argv) -> int:
         "norm_deviation_b": model.norm_deviation_b,
         "max_abs_prediction_error": max(errors),
     }
-    encoded = {"rows": rows_json, "c": _json_list(_json_floats(model.c))}
+    encoded = {"rows": rows_json, "c": _json_list(["1.0"] * len(model.rows))}
     if args.emit_vectors:
         # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
         pair = "[\n    %s,\n    %s\n  ]"

@@ -10,10 +10,11 @@ vectors are
 and the disjunction is the normalized superposition (|A> + |B>)/||.||,
 whose Born weight at exemplar k is
 
-    mu(A or B)_k = (mu(A)_k + mu(B)_k)/2 + c_k sqrt(mu(A)_k mu(B)_k) cos phi_k
+    mu(A or B)_k = (mu(A)_k + mu(B)_k)/2 + sqrt(mu(A)_k mu(B)_k) cos phi_k
 
-for the canonical rank-1 projector family (here c_k = 1; the printed
-component tables square back to the raw weights, i.e. unit scaling).
+for the canonical rank-1 projector family: the paper's scale c_k on the
+interference term is 1 for every k, since the printed component tables
+square back to the raw weights (the CLI still lists the c_k, as ones).
 Phase magnitudes invert that relation; signs are free and only matter for
 the inner product <A|B>, whose magnitude is reported, not forced to zero.
 """
@@ -50,15 +51,14 @@ class ExemplarRow:
             raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees")
 
 
-def phase_magnitudes(names, mu_a, mu_b, mu_or, c) -> np.ndarray:
+def phase_magnitudes(names, mu_a, mu_b, mu_or) -> np.ndarray:
     """|phi_k| over float weight columns; the first failing row raises what it would alone."""
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(mu_a * mu_b)
-        arg = (2.0 * mu_or - mu_a - mu_b) / (2.0 * c * root)
+        arg = (2.0 * mu_or - mu_a - mu_b) / (2.0 * root)
     checks = (((mu_a <= 0.0) | (mu_b <= 0.0), "phase undefined for zero membership weight"),
-              (c <= 0.0, "normalization constant must be positive"),
               (root == 0.0, "phase undefined: muA * muB underflows to 0"))
-    undefined = np.flatnonzero(checks[0][0] | checks[1][0] | checks[2][0])
+    undefined = np.flatnonzero(checks[0][0] | checks[1][0])
     stop = int(undefined[0]) if undefined.size else arg.size
     mags = arccos_clamped(arg[:stop], lambda i: (
         f"{names[i]}: no phase solution at this c_k (cos phi = {float(arg[i])!r})"))
@@ -67,10 +67,10 @@ def phase_magnitudes(names, mu_a, mu_b, mu_or, c) -> np.ndarray:
     return mags
 
 
-def phase_magnitude(row: ExemplarRow, c_k: float = 1.0) -> float:
+def phase_magnitude(row: ExemplarRow) -> float:
     """|phi_k| in radians for one row (see ``phase_magnitudes``)."""
     return float(phase_magnitudes(
-        (row.name,), *(np.array([v]) for v in (row.mu_a, row.mu_b, row.mu_a_or_b, c_k)))[0])
+        (row.name,), *(np.array([v]) for v in (row.mu_a, row.mu_b, row.mu_a_or_b)))[0])
 
 
 def assign_phase_signs(magnitudes, weights):
@@ -113,7 +113,6 @@ class DisjunctionModel:
     rows: tuple
     vector_a: np.ndarray            # dim n+1, complex
     vector_b: np.ndarray
-    c: tuple                        # per-row normalization constants (all 1)
     phases: np.ndarray              # signed radians actually used
     sign_source: str                # "supplied" or "search"
     sign_residual: float            # |sum w sin(phi)| for the used signs
@@ -126,7 +125,7 @@ class DisjunctionModel:
         return self.vector_a.size
 
 
-def build_model(rows, c=None) -> DisjunctionModel:
+def build_model(rows) -> DisjunctionModel:
     """Construct the explicit model from exemplar rows.
 
     Weight columns must each sum to at most 1 + 0.002 (choose-one data).
@@ -143,10 +142,7 @@ def build_model(rows, c=None) -> DisjunctionModel:
             raise ModelError(
                 f"{label} column sums to {float(col.sum())!r}; not a choose-one experiment"
             )
-    c = np.ones(mu_a.size) if c is None else np.asarray(c, dtype=float)
-    if c.shape != mu_a.shape:
-        raise ModelError("need one normalization constant per row")
-    mags = phase_magnitudes([r.name for r in rows], mu_a, mu_b, mu_or, c)
+    mags = phase_magnitudes([r.name for r in rows], mu_a, mu_b, mu_or)
     w = np.sqrt(mu_a * mu_b)
 
     supplied = [r.phi_deg is not None for r in rows]
@@ -172,7 +168,7 @@ def build_model(rows, c=None) -> DisjunctionModel:
             raise ModelError(f"vector {label} norm off by {dev!r}")
 
     sup = vector_a + vector_b
-    return DisjunctionModel(rows, vector_a, vector_b, tuple(c.tolist()), phases,
+    return DisjunctionModel(rows, vector_a, vector_b, phases,
                             source, sign_residual, sup / np.linalg.norm(sup), *devs)
 
 

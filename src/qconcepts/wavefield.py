@@ -28,7 +28,7 @@ by the calling thread and helper threads, one per further CPU the process
 may use (limit them with ``taskset``); the output is identical for any count.
 
 Everything here is deterministic: fixed sample counts, fixed scan grids,
-bisection refinement.
+and one array bisection that places exemplars at crossings and tangencies.
 """
 from __future__ import annotations
 
@@ -200,6 +200,24 @@ def _curve_point(p, q, t):
     return p * np.cos(t), q * np.sin(t)
 
 
+def _bisect(f, lo, hi):
+    """Halve every bracket [lo, hi] of the elementwise f 100 times, keeping
+    the half where f(lo) * f(mid) <= 0; returns the final midpoints."""
+    f_lo = f(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        left = f_lo * f_mid <= 0
+        lo, hi, f_lo = (np.where(left, lo, mid), np.where(left, mid, hi),
+                        np.where(left, f_lo, f_mid))
+    return 0.5 * (lo + hi)
+
+
+# why a row cannot be placed, by failure code
+_MISSES = (None, "peak of A misses its B level", "peak of B misses its A level",
+           "intensity level curves do not intersect; enlarge the widths")
+
+
 def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     """Intersect each exemplar's two intensity level curves.
 
@@ -208,80 +226,62 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     points, odd rows (1-based index) take the larger-y solution and even
     rows the smaller-y one, spreading exemplars over both sides. Degenerate
     curves (weight equal to the peak) collapse to the corresponding center.
+
+    All rows are solved at once: h(t) = g_B - lb along each A-curve is
+    sampled, each sign change bisected, and a row with none (a tangency)
+    bisects dh/dt about its least |h|, kept if that |h| <= INTENSITY_TOL.
+    The first row in input order that cannot be placed raises.
     """
-    mu_a = np.array([r.mu_a for r in rows])
-    mu_b = np.array([r.mu_b for r in rows])
-    la = _log_ratios(config.amplitude_a, mu_a, "muA")
-    lb = _log_ratios(config.amplitude_b, mu_b, "muB")
+    la = _log_ratios(config.amplitude_a, [r.mu_a for r in rows], "muA")
+    lb = _log_ratios(config.amplitude_b, [r.mu_b for r in rows], "muB")
     ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
     ub, vb = 1.0 / (2.0 * config.sigma_bx ** 2), 1.0 / (2.0 * config.sigma_by ** 2)
     a, b = float(config.center_b[0]), float(config.center_b[1])
+    p, q = np.sqrt(la / ua), np.sqrt(la / va)
 
-    def g_b(x, y):
-        return ub * (x - a) ** 2 + vb * (y - b) ** 2
+    def gap(k, t):      # h of rows k at t (the arrays broadcast)
+        return ub * np.square(p[k] * np.cos(t) - a) + vb * np.square(q[k] * np.sin(t) - b) - lb[k]
+
+    def slope(k, t):    # dh/dt / 2
+        x, y = _curve_point(p[k], q[k], t)
+        return vb * (y - b) * q[k] * np.cos(t) - ub * (x - a) * p[k] * np.sin(t)
 
     positions = np.zeros((len(rows), 2))
-    for k, row in enumerate(rows):
-        if la[k] == 0.0:
-            # A-curve degenerates to the origin
-            if abs(g_b(0.0, 0.0) - lb[k]) > INTENSITY_TOL:
-                raise PlacementError(
-                    f"circles disjoint for exemplar {row.name!r}: peak of A misses its B level"
-                )
-            positions[k] = (0.0, 0.0)
-            continue
-        if lb[k] == 0.0:
-            ga = ua * a ** 2 + va * b ** 2
-            if abs(ga - la[k]) > INTENSITY_TOL:
-                raise PlacementError(
-                    f"circles disjoint for exemplar {row.name!r}: peak of B misses its A level"
-                )
-            positions[k] = (a, b)
-            continue
-        p, q = np.sqrt(la[k] / ua), np.sqrt(la[k] / va)
-        t = np.linspace(0.0, 2.0 * np.pi, _ROOT_SAMPLES + 1)
-        h = g_b(*_curve_point(p, q, t)) - lb[k]
-        roots = []
-        for i in np.flatnonzero((h[:-1] == 0.0) | (h[:-1] * h[1:] < 0)).tolist():
-            if h[i] == 0.0:
-                roots.append(t[i])
-            else:
-                lo, hi, f_lo = t[i], t[i + 1], h[i]
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    f_mid = g_b(*_curve_point(p, q, mid)) - lb[k]
-                    if f_lo * f_mid <= 0:
-                        hi = mid
-                    else:
-                        lo, f_lo = mid, f_mid
-                roots.append(0.5 * (lo + hi))
-        if not roots:
-            # tangency rescue: refine the closest approach of h to zero
-            i0 = int(np.argmin(np.abs(h[:-1])))
-            sgn = 1.0 if h[i0] > 0 else -1.0
-            lo, hi = t[max(i0 - 1, 0)], t[min(i0 + 1, _ROOT_SAMPLES)]
-            phi_ratio = (np.sqrt(5.0) - 1.0) / 2.0
-            c1, c2 = hi - phi_ratio * (hi - lo), lo + phi_ratio * (hi - lo)
-            f1 = sgn * (g_b(*_curve_point(p, q, c1)) - lb[k])
-            f2 = sgn * (g_b(*_curve_point(p, q, c2)) - lb[k])
-            for _ in range(200):
-                if f1 < f2:
-                    hi, c2, f2 = c2, c1, f1
-                    c1 = hi - phi_ratio * (hi - lo)
-                    f1 = sgn * (g_b(*_curve_point(p, q, c1)) - lb[k])
-                else:
-                    lo, c1, f1 = c1, c2, f2
-                    c2 = lo + phi_ratio * (hi - lo)
-                    f2 = sgn * (g_b(*_curve_point(p, q, c2)) - lb[k])
-            t_best = 0.5 * (lo + hi)
-            if abs(g_b(*_curve_point(p, q, t_best)) - lb[k]) > INTENSITY_TOL:
-                raise PlacementError(
-                    f"circles disjoint for exemplar {row.name!r}: "
-                    "intensity level curves do not intersect; enlarge the widths"
-                )
-            roots.append(t_best)
-        pts = sorted((_curve_point(p, q, tt) for tt in roots), key=lambda pt: -pt[1])
-        positions[k] = pts[0] if row.index % 2 == 1 else pts[-1]
+    at_a = la == 0.0                    # A-curve degenerates to the origin
+    at_b = (lb == 0.0) & ~at_a          # B-curve degenerates to center_b
+    fail = np.zeros(len(rows), dtype=int)
+    fail[at_a & (np.abs(ub * a ** 2 + vb * b ** 2 - lb) > INTENSITY_TOL)] = 1
+    fail[at_b & (np.abs(ua * a ** 2 + va * b ** 2 - la) > INTENSITY_TOL)] = 2
+    positions[at_b] = (a, b)
+
+    live = np.flatnonzero(~(at_a | at_b))
+    t = np.linspace(0.0, 2.0 * np.pi, _ROOT_SAMPLES + 1)
+    h = gap(live[:, None], t)
+    crossing = (h[:, :-1] == 0.0) | (h[:, :-1] * h[:, 1:] < 0)
+    r, i = np.nonzero(crossing)
+    k = live[r]
+    roots = np.where(h[r, i] == 0.0, t[i], _bisect(lambda s: gap(k, s), t[i], t[i + 1]))
+    flat = ~crossing.any(axis=1)
+    if flat.any():      # tangencies: the extremum of h nearest its smallest |h|
+        kt = live[flat]
+        i0 = np.argmin(np.abs(h[flat, :-1]), axis=1)
+        touch = _bisect(lambda s: slope(kt, s), t[np.maximum(i0 - 1, 0)],
+                        t[np.minimum(i0 + 1, _ROOT_SAMPLES)])
+        fail[kt[np.abs(gap(kt, touch)) > INTENSITY_TOL]] = 3
+        k, roots = np.concatenate((k, kt)), np.concatenate((roots, touch))
+    if fail.any():
+        first = int(np.flatnonzero(fail)[0])
+        raise PlacementError(f"circles disjoint for exemplar {rows[first].name!r}: "
+                             + _MISSES[fail[first]])
+
+    # each row keeps one point: odd rows the largest y (first in t order
+    # among ties), even rows the smallest y (last among ties)
+    x, y = _curve_point(p[k], q[k], roots)
+    odd = np.array([row.index % 2 == 1 for row in rows])[k]
+    n = np.arange(k.size)
+    order = np.lexsort((np.where(odd, n, -n), np.where(odd, -y, y), k))
+    pick = order[np.unique(k[order], return_index=True)[1]]
+    positions[k[pick]] = np.column_stack((x[pick], y[pick]))
     return positions
 
 
@@ -486,13 +486,16 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
         px, py = config.positions[:, 0], config.positions[:, 1]
         if (px.min() < x_min or px.max() > x_max or py.min() < y_min or py.max() > y_max):
             raise ModelError("raster extent does not cover all exemplar positions")
-    xs = np.linspace(x_min, x_max, nx)
-    ys = np.linspace(y_min, y_max, ny)
+    try:
+        xs = np.linspace(x_min, x_max, nx)
+        ys = np.linspace(y_min, y_max, ny)
+        i_a, i_b, superposed, classical = (np.empty((ny, nx)) for _ in range(4))
+    except (MemoryError, ValueError):   # numpy's "array is too big" is a ValueError
+        raise ModelError(f"grid {nx}x{ny} is too large to allocate") from None
     # each block broadcasts the x row against its ys column: one-axis terms
     # cost nx or (block rows) operations, every pixel gets the same
     # arithmetic as on the whole grid, and the temporaries stay in cache
     x = xs[None, :]
-    i_a, i_b, superposed, classical = (np.empty((ny, nx)) for _ in range(4))
 
     def block(rows, scratch):
         _, _, cla, raw = _fields(config, phase, x, ys[rows, None],

@@ -276,14 +276,14 @@ _float_pool = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-3
 @example(values=[0.0, -0.0, 0.0, 5e-324, -5e-324, 1e16, -0.0, 1e-05])
 @example(values=[-0.0, 0.0, math.nan, math.inf, -math.inf, 0.0])
 def test_memoised_float_text_equals_json_floats(values):
-    want = cli._json_floats(values)
-    assert want == [json.dumps(v) for v in values]
+    want = [json.dumps(v) for v in values]
+    assert cli._json_float_column(values) == want
     assert cli._json_float_column(np.array(values, dtype=float)) == want
     # a strided view, as the parts of a complex vector are
     assert cli._json_float_column(np.array(values, dtype=complex).real) == want
     finite = [v for v in values if math.isfinite(v)]
     assert cli._json_float_column(np.array(finite + finite[::-1])) == \
-        cli._json_floats(finite + finite[::-1])
+        [json.dumps(v) for v in finite + finite[::-1]]
 
 
 def test_classicality_csv_quotes_fields_that_need_it(run_cli, tmp_path):
@@ -701,6 +701,16 @@ def test_wavefield_error_in_a_raster_helper_is_one_json_error(run_cli, tmp_path,
     assert fail_in_a_helper and code == 1 and out == ""
     assert json.loads(err) == {"error": {"type": "ModelError",
                                          "message": "block failed in a helper"}}
+
+
+def test_oversize_grid_is_a_json_model_error(run_cli, tmp_path):
+    # numpy refuses an axis of 2**62 points before allocating anything
+    code, out, err = run_cli("wavefield", "--dataset", "fruits-vegetables-table2",
+                             "--grid", f"2x{2 ** 62}", "--out-dir", tmp_path, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ModelError", "message": f"grid 2x{2 ** 62} is too large to allocate"}}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb", ["disjunction-model", "wavefield"])

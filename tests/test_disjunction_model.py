@@ -55,26 +55,14 @@ def test_phase_magnitude_zero_weight_undefined():
         phase_magnitude(row)
 
 
-def test_phase_magnitude_small_scale_invalidates():
-    # shrinking c_k pushes the cosine argument outside [-1, 1]
-    row = ExemplarRow(1, "X", 0.2, 0.2, 0.5)
-    with pytest.raises(NoInterferenceSolution) as exc_info:
-        phase_magnitude(row, c_k=0.1)
-    assert abs(exc_info.value.argument) > 1.0
-    with pytest.raises(ModelError, match="positive"):
-        phase_magnitude(row, c_k=0.0)
-
-
-def _phase_magnitude_per_row(row, c_k=1.0):
+def _phase_magnitude_per_row(row):
     """Reference |phi_k|: one row at a time on Python and numpy scalars."""
     if row.mu_a <= 0.0 or row.mu_b <= 0.0:
         raise ModelError(f"{row.name}: phase undefined for zero membership weight")
-    if c_k <= 0.0:
-        raise ModelError(f"{row.name}: normalization constant must be positive")
     root = np.sqrt(row.mu_a * row.mu_b)
     if root == 0.0:
         raise ModelError(f"{row.name}: phase undefined: muA * muB underflows to 0")
-    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (2.0 * c_k * root))
+    arg = float((2.0 * row.mu_a_or_b - row.mu_a - row.mu_b) / (2.0 * root))
     if abs(arg) > 1.0 + COS_CLAMP_SLACK:
         raise NoInterferenceSolution(
             f"{row.name}: no phase solution at this c_k (cos phi = {arg!r})", argument=arg)
@@ -96,11 +84,11 @@ _weight = st.one_of(st.sampled_from([0.0, 5e-324, 1e-200, 1e-160, 1e-5, 0.25, 1.
 
 @st.composite
 def _exemplar_rows(draw):
-    """Rows of three kinds: Born-consistent up to a cosine just past the clamp
-    slack, arbitrary weights (mostly no phase solution), and a bad constant."""
-    rows, c = [], []
+    """Rows of two kinds: Born-consistent up to a cosine just past the clamp
+    slack, and arbitrary weights (mostly no phase solution)."""
+    rows = []
     for k in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["born", "born", "born", "any", "c"]))
+        kind = draw(st.sampled_from(["born", "born", "born", "any"]))
         mu_a, mu_b = draw(_weight), draw(_weight)
         if kind == "any":
             mu_or = draw(_weight)
@@ -110,19 +98,16 @@ def _exemplar_rows(draw):
                 cos = np.copysign(1.0 + draw(st.floats(0.0, 2.0 * COS_CLAMP_SLACK)), cos)
             mu_or = min(1.0, max(0.0, (mu_a + mu_b) / 2.0 + np.sqrt(mu_a * mu_b) * cos))
         rows.append(ExemplarRow(k + 1, f"x{k + 1}", mu_a, mu_b, mu_or))
-        c.append(draw(st.sampled_from([0.0, -1.0, 0.1, 2.0])) if kind == "c" else 1.0)
-    return rows, c
+    return rows
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
-@given(case=_exemplar_rows())
-def test_columnar_phase_magnitudes_match_the_per_row_loop(case):
-    rows, c = case
+@given(rows=_exemplar_rows())
+def test_columnar_phase_magnitudes_match_the_per_row_loop(rows):
     columns = [np.array([getattr(r, f) for r in rows]) for f in ("mu_a", "mu_b", "mu_a_or_b")]
-    want = _outcomes(lambda: [_phase_magnitude_per_row(r, ck) for r, ck in zip(rows, c)])
-    assert _outcomes(lambda: phase_magnitudes(
-        [r.name for r in rows], *columns, np.array(c))) == want
-    assert _outcomes(lambda: [phase_magnitude(r, ck) for r, ck in zip(rows, c)]) == want
+    want = _outcomes(lambda: [_phase_magnitude_per_row(r) for r in rows])
+    assert _outcomes(lambda: phase_magnitudes([r.name for r in rows], *columns)) == want
+    assert _outcomes(lambda: [phase_magnitude(r) for r in rows]) == want
 
 
 def test_columnar_phase_magnitudes_match_the_per_row_loop_at_scale(table2_rows):
@@ -135,7 +120,7 @@ def test_columnar_phase_magnitudes_match_the_per_row_loop_at_scale(table2_rows):
             for k, w in enumerate(zip(mu_a.tolist(), mu_b.tolist(), mu_or.tolist()))]
     for case in (rows, table2_rows):
         columns = [np.array([getattr(r, f) for r in case]) for f in ("mu_a", "mu_b", "mu_a_or_b")]
-        got = phase_magnitudes([r.name for r in case], *columns, np.ones(len(case)))
+        got = phase_magnitudes([r.name for r in case], *columns)
         assert [float(m).hex() for m in got] == \
             [float(_phase_magnitude_per_row(r)).hex() for r in case]
 
@@ -152,7 +137,7 @@ def test_first_failing_row_raises_its_own_error(weights, error):
     names = [r.name for r in rows]
     columns = [np.array(col) for col in zip(*weights)]
     with pytest.raises(ModelError, match=error) as exc_info:
-        phase_magnitudes(names, *columns, np.ones(len(rows)))
+        phase_magnitudes(names, *columns)
     want = _outcomes(lambda: [_phase_magnitude_per_row(r) for r in rows])
     assert want == (type(exc_info.value), str(exc_info.value),
                     getattr(exc_info.value, "argument", None))
@@ -260,7 +245,6 @@ def test_build_model_with_supplied_signs_pins(table2_rows):
     model = build_model(table2_rows)
     assert model.sign_source == "supplied"
     assert model.dim == 25
-    assert model.c == tuple(1.0 for _ in range(24))
     assert model.sign_residual == pytest.approx(0.015448574874252562, abs=1e-12)
     assert model.norm_deviation_a == pytest.approx(4.9998750062396624e-05, abs=1e-12)
     assert model.norm_deviation_b == pytest.approx(4.9998750062396624e-05, abs=1e-12)

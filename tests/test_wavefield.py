@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 import threading
@@ -15,6 +16,7 @@ from qconcepts.disjunction_model import ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
     DEFAULT_EXTENT,
+    INTENSITY_TOL,
     MARGIN_FLOOR,
     _BLOCK_PIXELS,
     _CURVE_SAMPLES,
@@ -130,6 +132,23 @@ def test_placement_parity_alternates_sides():
     assert pos[1] == pytest.approx((0.75, -y_mag), abs=1e-6)
 
 
+def test_placement_ties_in_y_follow_the_parity_rule():
+    # B centred on the y-axis: the two crossings mirror each other, and for
+    # some centres their y values agree bit for bit. Then the odd row keeps
+    # the first in t order (+x) and the even row the last (-x), as a stable
+    # sort on -y does
+    rows = [ExemplarRow(1, "Up", E1, E1, 0.3), ExemplarRow(2, "Down", E1, E1, 0.3)]
+    ties = 0
+    for c in np.linspace(0.3, 1.9, 161):
+        config = _circular_config(center=(0.0, float(c)))
+        pos = place_exemplars(rows, config)
+        if pos[0, 1] == pos[1, 1]:
+            ties += 1
+            assert pos[0, 0] > 0.0 > pos[1, 0]
+            assert pos.tobytes() == _place_exemplars_loop(rows, config).tobytes()
+    assert ties > 0
+
+
 def test_degenerate_level_curve_snaps_to_center():
     # muA at the peak collapses the A-curve to the origin; the B level must
     # pass through it exactly
@@ -153,6 +172,43 @@ def test_exact_tangency_is_rescued():
     rows = [ExemplarRow(1, "Touch", E1, float(np.exp(-0.25)), 0.3)]
     pos = place_exemplars(rows, _circular_config())
     assert pos[0] == pytest.approx((1.0, 0.0), abs=1e-3)
+    assert np.hypot(*(pos[0] - (1.0, 0.0))) <= 1e-12
+    # the same pair turned about the origin: the touching point falls
+    # between samples of t, where h has an interior minimum
+    for angle in (0.3, 2.5):
+        touch = np.array([np.cos(angle), np.sin(angle)])
+        pos = place_exemplars(rows, _circular_config(center=tuple(1.5 * touch)))
+        assert np.hypot(*(pos[0] - touch)) <= 1e-12
+
+
+@pytest.mark.parametrize("clearance", [0.5, 0.99, -0.5, -0.99, 1.01, 2.0])
+def test_near_tangency_is_kept_within_the_intensity_tolerance(clearance):
+    # B's level curve moved off the tangent radius so that h, the log-gap
+    # along A's curve, has the extremum clearance * INTENSITY_TOL at the
+    # touching point: inside the tolerance the point is placed there
+    touch = np.array([np.cos(0.3), np.sin(0.3)])
+    config = _circular_config(center=tuple(1.5 * touch))
+    mu_b = float(np.exp(-(0.25 - clearance * INTENSITY_TOL)))
+    rows = [ExemplarRow(1, "Near", E1, mu_b, 0.3)]
+    if abs(clearance) <= 1.0:
+        assert np.hypot(*(place_exemplars(rows, config)[0] - touch)) <= 1e-12
+    else:
+        with pytest.raises(PlacementError,
+                           match="'Near': intensity level curves do not intersect"):
+            place_exemplars(rows, config)
+
+
+def test_the_first_unplaceable_row_in_input_order_raises():
+    small = float(np.exp(-0.01))
+    failing = {"PeakA": (1.0, E1, "peak of A misses its B level"),
+               "PeakB": (E1, 1.0, "peak of B misses its A level"),
+               "Gap": (small, small, "intensity level curves do not intersect")}
+    for names in itertools.permutations(failing):
+        rows = [ExemplarRow(1, "Up", E1, E1, 0.3)] + [
+            ExemplarRow(i + 2, name, *failing[name][:2], 0.3) for i, name in enumerate(names)]
+        with pytest.raises(PlacementError,
+                           match=f"exemplar '{names[0]}': {failing[names[0]][2]}"):
+            place_exemplars(rows, _circular_config())
 
 
 def test_width_fit_requires_distinct_peaks_and_offset_center():
@@ -249,7 +305,10 @@ def test_width_fit_matches_per_row_loop(table2):
 
 
 def _place_exemplars_loop(rows, config):
-    """Reference placement: brackets roots by walking every sample of h."""
+    """Reference placement: walks every sample of h and bisects each bracket
+    as a scalar. It squares with np.square, as the array code does: ``** 2``
+    on a numpy scalar calls libm pow, which can differ from x * x by an ulp.
+    """
     mu_a = np.array([r.mu_a for r in rows])
     mu_b = np.array([r.mu_b for r in rows])
     la = _log_ratios(config.amplitude_a, mu_a, "muA")
@@ -259,14 +318,21 @@ def _place_exemplars_loop(rows, config):
     a, b = float(config.center_b[0]), float(config.center_b[1])
 
     def g_b(x, y):
-        return ub * (x - a) ** 2 + vb * (y - b) ** 2
+        return ub * np.square(x - a) + vb * np.square(y - b)
+
+    def disjoint(row, why):
+        return PlacementError(f"circles disjoint for exemplar {row.name!r}: {why}")
 
     positions = np.zeros((len(rows), 2))
     for k, row in enumerate(rows):
         if la[k] == 0.0:
+            if abs(ub * a ** 2 + vb * b ** 2 - lb[k]) > INTENSITY_TOL:
+                raise disjoint(row, "peak of A misses its B level")
             positions[k] = (0.0, 0.0)
             continue
         if lb[k] == 0.0:
+            if abs(ua * a ** 2 + va * b ** 2 - la[k]) > INTENSITY_TOL:
+                raise disjoint(row, "peak of B misses its A level")
             positions[k] = (a, b)
             continue
         p, q = np.sqrt(la[k] / ua), np.sqrt(la[k] / va)
@@ -286,11 +352,20 @@ def _place_exemplars_loop(rows, config):
                     else:
                         lo, f_lo = mid, f_mid
                 roots.append(0.5 * (lo + hi))
-        # the tangency rescue is left out: every input below brackets a root
-        assert roots, row.name
+        # no curve pair below touches within INTENSITY_TOL without crossing
+        if not roots:
+            raise disjoint(row, "intensity level curves do not intersect; enlarge the widths")
         pts = sorted((_curve_point(p, q, tt) for tt in roots), key=lambda pt: -pt[1])
         positions[k] = pts[0] if row.index % 2 == 1 else pts[-1]
     return positions
+
+
+def _placed(place, rows, config):
+    """Positions as bytes, or the PlacementError's type and message."""
+    try:
+        return place(rows, config).tobytes()
+    except PlacementError as exc:
+        return type(exc), str(exc)
 
 
 def test_placement_brackets_match_the_per_sample_loop(table2):
@@ -299,6 +374,17 @@ def test_placement_brackets_match_the_per_sample_loop(table2):
     for seed in range(12):
         pert = _perturbed(rows, seed, 0.1)
         cases.append((pert, default_config(pert)))
+    # Table 2's widths, its two peak rows kept and the rest perturbed: a
+    # row that overtakes a peak misses it, and some curve pairs do not meet,
+    # so the errors are compared too
+    peaks = [int(np.argmax([getattr(r, mu) for r in rows])) for mu in ("mu_a", "mu_b")]
+    for seed in range(100):
+        pert = _perturbed(rows, seed, (0.02, 0.1, 0.2, 0.5)[seed % 4])
+        for k in peaks:
+            pert[k] = rows[k]
+        cases.append((pert, dataclasses.replace(
+            config, amplitude_a=max(r.mu_a for r in pert),
+            amplitude_b=max(r.mu_b for r in pert))))
     # a B level curve through the A-curve's t = 0 sample (p, 0), so h is exactly 0
     # there; B is centred off the axis, so the curves cross rather than touch
     config = _circular_config(center=(1.5, 1.0))
@@ -309,10 +395,11 @@ def test_placement_brackets_match_the_per_sample_loop(table2):
                 ExemplarRow(2, "OnSample", E1, on_sample, 0.3)]
     assert tuple(place_exemplars(crossing, config)[1]) == (p, 0.0)
     cases.append((crossing, config))
-    for case_rows, case_config in cases:
-        got = place_exemplars(case_rows, case_config)
-        want = _place_exemplars_loop(case_rows, case_config)
-        assert got.tobytes() == want.tobytes()
+    outcomes = [_placed(place_exemplars, *case) for case in cases]
+    assert outcomes == [_placed(_place_exemplars_loop, *case) for case in cases]
+    reasons = {o[1].split(": ")[-1] for o in outcomes if isinstance(o, tuple)}
+    assert reasons == set(wavefield._MISSES[1:])
+    assert sum(isinstance(o, bytes) for o in outcomes) > 40
 
 
 def test_lowest_monomials_order():
