@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -59,28 +60,48 @@ def _out_dir(args) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+ROWS_PER_CHUNK = 4096       # list elements per chunk of streamed JSON and CSV text
 
-def _dumps(obj, encoded=None) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``.
 
-    Each key of ``encoded`` is added to the top-level dict with that text,
-    already encoded at indent 0, as its value. Re-indenting the text by
-    replacing its newlines is safe because JSON strings never hold a raw
-    newline.
+def _json_pieces(obj, encoded=()):
+    """Yield ``json.dumps(obj, indent=2, sort_keys=True)`` of a dict in pieces.
+
+    Each key of ``encoded`` is added to the top-level dict with a sequence
+    of text chunks, already encoded at indent 0, as its value. Each chunk is
+    re-indented on its own by replacing its newlines, which is safe because
+    JSON strings never hold a raw newline.
     """
-    if not encoded:
-        return json.dumps(obj, indent=2, sort_keys=True)
-    texts = {key: json.dumps(value, indent=2, sort_keys=True) for key, value in obj.items()}
+    texts = {key: [json.dumps(value, indent=2, sort_keys=True)] for key, value in obj.items()}
     texts.update(encoded)
-    return "{\n" + ",\n".join(
-        f"  {_encode_str(key)}: " + texts[key].replace("\n", "\n  ") for key in sorted(texts)
-    ) + "\n}"
+    sep = "{\n  "
+    for key in sorted(texts):
+        yield f"{sep}{_encode_str(key)}: "
+        for chunk in texts[key]:
+            yield chunk.replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "{}" if sep == "{\n  " else "\n}"
 
 
-def _encode_each(encode, strings) -> list:
-    """``encode(s)`` for each string, computed once per distinct string."""
-    memo = {s: encode(s) for s in set(strings)}
-    return list(map(memo.__getitem__, strings))
+def _join_chunks(sep, texts):
+    """``sep.join`` of each run of up to ROWS_PER_CHUNK consecutive texts,
+    none of which may be empty."""
+    texts = iter(texts)
+    while chunk := sep.join(itertools.islice(texts, ROWS_PER_CHUNK)):
+        yield chunk
+
+
+def _gather(texts, codes) -> list:
+    """``texts[c]`` for each code ``c``."""
+    return np.array(texts, dtype=object)[np.asarray(codes, dtype=np.intp)].tolist()
+
+
+def _encode_names(strings, *encoders) -> list:
+    """For each encoder, ``encoder(s)`` for each string; every distinct
+    string is found once and encoded once per encoder."""
+    distinct = list(dict.fromkeys(strings))
+    code = {s: i for i, s in enumerate(distinct)}
+    codes = np.fromiter(map(code.__getitem__, strings), dtype=np.intp, count=len(strings))
+    return [_gather(list(map(encode, distinct)), codes) for encode in encoders]
 
 
 def _json_float_column(col) -> list:
@@ -94,17 +115,23 @@ def _json_float_column(col) -> list:
     col = np.asarray(col, dtype=np.float64)
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
     encode = float.__repr__ if np.isfinite(col).all() else json.dumps
-    texts = np.array(list(map(encode, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    return _gather(list(map(encode, bits.view(np.float64).tolist())), inverse)
 
 
-def _json_list(texts: list) -> str:
-    """``_dumps`` of a list, given each element's JSON text as it sits in the list."""
-    return "[\n  %s\n]" % ",\n  ".join(texts) if texts else "[]"
+def _json_list(texts):
+    """Yield ``json.dumps`` of a list at indent 0 in chunks of ROWS_PER_CHUNK
+    elements, given each element's JSON text as it sits in the list."""
+    opened = False
+    for chunk in _join_chunks(",\n  ", texts):
+        yield ",\n  " if opened else "[\n  "
+        yield chunk
+        opened = True
+    yield "\n]" if opened else "[]"
 
 
-def _json_rows(columns: dict) -> str:
-    """``_dumps`` of a list of dicts, given each key's column of encoded values.
+def _json_rows(columns: dict):
+    """Yield ``json.dumps`` of a list of dicts in chunks (see ``_json_list``),
+    given each key's column of encoded values.
 
     Every row is formatted through one %-template holding the keys in
     sort_keys order, so no per-row encoder runs.
@@ -112,7 +139,7 @@ def _json_rows(columns: dict) -> str:
     keys = sorted(columns)
     template = "{\n" + ",\n".join(
         f"    {_encode_str(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    return _json_list(list(map(template.__mod__, zip(*(columns[key] for key in keys)))))
+    return _json_list(map(template.__mod__, zip(*(columns[key] for key in keys))))
 
 
 def _digest(data: bytes) -> str:
@@ -141,14 +168,17 @@ def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
         "outputs": sorted(outputs),
         "tool_version": __version__,
     }
-    wavefield.atomic_write(os.path.join(out, name), [(_dumps(manifest) + "\n").encode()])
+    wavefield.atomic_write(os.path.join(out, name),
+                           itertools.chain(map(str.encode, _json_pieces(manifest)), [b"\n"]))
     return manifest
 
 
-def _emit(args, payload: dict, human_lines, encoded=None):
-    """Print the payload (see ``_dumps``) with --json, else the human lines."""
+def _emit(args, payload: dict, human_lines, encoded=()):
+    """Write the payload (see ``_json_pieces``) with --json, else the human lines."""
     if args.json:
-        print(_dumps(payload, encoded))
+        for piece in _json_pieces(payload, encoded):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
     else:
         for line in human_lines:
             print(line)
@@ -181,51 +211,56 @@ def _csv_field(text: str) -> str:
 
 def _cmd_classicality(args, argv) -> int:
     table = _dataset_rows(args, "membership")
-    names, connective = table.exemplar, table.connective
-    is_and = np.array([c == "and" for c in connective], dtype=bool)
+    is_and = np.array([c == "and" for c in table.connective], dtype=bool)
     diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, is_and)
     ext_names = [e.value for e in classicality.ExtensionClass]
-    ext = list(map(ext_names.__getitem__, diag.extension_code.tolist()))
+    (names_json, names_csv), (a_json, a_csv), (b_json, b_csv) = (
+        _encode_names(col, _encode_str, _csv_field)
+        for col in (table.exemplar, table.concept_a, table.concept_b))
     columns = {
-        "exemplar": _encode_each(_encode_str, names),
-        "conceptA": _encode_each(_encode_str, table.concept_a),
-        "conceptB": _encode_each(_encode_str, table.concept_b),
+        "exemplar": names_json,
+        "conceptA": a_json,
+        "conceptB": b_json,
         "muA": _json_float_column(table.mu_a),
         "muB": _json_float_column(table.mu_b),
         "muJoint": _json_float_column(table.mu_joint),
-        "connective": _encode_each(_encode_str, connective),
+        "connective": _gather(['"or"', '"and"'], is_and),
         "delta": _json_float_column(diag.delta),
         "k": _json_float_column(diag.kolmogorov_factor),
         "f": _json_float_column(diag.interference_need),
-        "classical": ["true" if c else "false" for c in diag.classical_representable.tolist()],
-        "extension_class": _encode_each(_encode_str, ext),
+        "classical": _gather(["false", "true"], diag.classical_representable),
+        "extension_class": _gather(list(map(_encode_str, ext_names)), diag.extension_code),
     }
-    rows_json = _json_rows(columns)
+    # kept until stdout is written, which repeats them
+    rows_json = list(_json_rows(columns))
 
     out = _out_dir(args)
     json_name, csv_name = "classicality.json", "classicality.csv"
-    wavefield.atomic_write(os.path.join(out, json_name), [rows_json.encode(), b"\n"])
+    wavefield.atomic_write(os.path.join(out, json_name),
+                           itertools.chain(map(str.encode, rows_json), [b"\n"]))
     # the weights are validated finite, so their JSON text is also their repr
-    csv_cells = [_encode_each(_csv_field, col)
-                 for col in (names, table.concept_a, table.concept_b)]
-    csv_cells += [columns["muA"], columns["muB"], columns["muJoint"], connective,
-                  columns["delta"], columns["k"], columns["f"], columns["classical"], ext]
-    header = "exemplar,conceptA,conceptB,muA,muB,muJoint,connective,delta,k,f,classical,extension_class"
-    lines = map(",".join, zip(*csv_cells))
+    csv_lines = map(("%s," * 11 + "%s\n").__mod__, zip(
+        names_csv, a_csv, b_csv, columns["muA"], columns["muB"], columns["muJoint"],
+        _gather(["or", "and"], is_and), columns["delta"], columns["k"], columns["f"],
+        columns["classical"], _gather(ext_names, diag.extension_code)))
+    header = ("exemplar,conceptA,conceptB,muA,muB,muJoint,connective,"
+              "delta,k,f,classical,extension_class\n")
     wavefield.atomic_write(os.path.join(out, csv_name),
-                           ["\n".join([header, *lines]).encode(), b"\n"])
+                           map(str.encode, itertools.chain([header], _join_chunks("", csv_lines))))
     manifest = _write_manifest(argv, args, out, "classicality_manifest.json",
                                {"slack": classicality.ZERO_SLACK}, [json_name, csv_name])
 
     def human():
         n = len(table)
         n_classical = int(np.count_nonzero(diag.classical_representable))
+        ext = _gather(ext_names, diag.extension_code)
         class_summary = ", ".join(f"{c} {m}" for c, m in sorted(Counter(ext).items()))
         yield f"{n} rows: {n_classical} classically representable, {n - n_classical} not"
         yield f"extension classes: {class_summary}"
         delta, k, f = (col.tolist() for col in
                        (diag.delta, diag.kolmogorov_factor, diag.interference_need))
-        for name, conn, d_, k_, f_, ext_ in zip(names, connective, delta, k, f, ext):
+        for name, conn, d_, k_, f_, ext_ in zip(table.exemplar, table.connective,
+                                                delta, k, f, ext):
             yield (f"  {name:<18} {conn:<3} delta {_sig(d_):>9}"
                    f"  k {_sig(k_):>9}  f {_sig(f_):>9}  {ext_}")
         yield f"wrote {json_name}, {csv_name}, classicality_manifest.json in {out}"
@@ -338,7 +373,7 @@ def _cmd_disjunction_model(args, argv) -> int:
     phi_deg = [_deg_json(phase) for phase in model.phases]
     rows_json = _json_rows({
         "index": [str(r.index) for r in model.rows],
-        "name": _encode_each(_encode_str, [r.name for r in model.rows]),
+        "name": _encode_names([r.name for r in model.rows], _encode_str)[0],
         "muA": _json_float_column([r.mu_a for r in model.rows]),
         "muB": _json_float_column([r.mu_b for r in model.rows]),
         "muAorB": _json_float_column([r.mu_a_or_b for r in model.rows]),
@@ -362,9 +397,9 @@ def _cmd_disjunction_model(args, argv) -> int:
     if args.emit_vectors:
         # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
         pair = "[\n    %s,\n    %s\n  ]"
-        encoded["vectors"] = _dumps({}, {
-            label: _json_list(list(map(pair.__mod__, zip(
-                _json_float_column(vec.real), _json_float_column(vec.imag)))))
+        encoded["vectors"] = _json_pieces({}, {
+            label: _json_list(map(pair.__mod__, zip(
+                _json_float_column(vec.real), _json_float_column(vec.imag))))
             for label, vec in (("A", model.vector_a), ("B", model.vector_b))})
 
     def human():
@@ -559,10 +594,25 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args, argv)
+        sys.stdout.flush()
+        return code
     except ModelError as exc:
-        print(_dumps(_error_payload(exc)), file=sys.stderr)
-        return 1
+        error = _error_payload(exc)
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is still buffered to devnull,
+        # so the interpreter's last flush at exit has nothing to report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass        # a stdout with no file descriptor
+        finally:
+            os.close(devnull)
+        error = {"error": {"type": "BrokenPipeError",
+                           "message": "standard output was closed before the report was written"}}
+    print(json.dumps(error, indent=2, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

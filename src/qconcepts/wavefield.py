@@ -230,6 +230,8 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     All rows are solved at once: h(t) = g_B - lb along each A-curve is
     sampled, each sign change bisected, and a row with none (a tangency)
     bisects dh/dt about its least |h|, kept if that |h| <= INTENSITY_TOL.
+    Where h there has the other sign, both crossings fell within one sample
+    step; each side of the extremum is then bisected.
     The first row in input order that cannot be placed raises.
     """
     la = _log_ratios(config.amplitude_a, [r.mu_a for r in rows], "muA")
@@ -265,10 +267,18 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     if flat.any():      # tangencies: the extremum of h nearest its smallest |h|
         kt = live[flat]
         i0 = np.argmin(np.abs(h[flat, :-1]), axis=1)
-        touch = _bisect(lambda s: slope(kt, s), t[np.maximum(i0 - 1, 0)],
-                        t[np.minimum(i0 + 1, _ROOT_SAMPLES)])
-        fail[kt[np.abs(gap(kt, touch)) > INTENSITY_TOL]] = 3
-        k, roots = np.concatenate((k, kt)), np.concatenate((roots, touch))
+        t_lo, t_hi = t[np.maximum(i0 - 1, 0)], t[np.minimum(i0 + 1, _ROOT_SAMPLES)]
+        touch = _bisect(lambda s: slope(kt, s), t_lo, t_hi)
+        h_touch = gap(kt, touch)
+        off = np.abs(h_touch) > INTENSITY_TOL
+        # h changes sign twice within one sample step: bisect either side of the extremum
+        dip = off & (h_touch * h[flat, i0] < 0)
+        fail[kt[off & ~dip]] = 3
+        kd = np.tile(kt[dip], 2)
+        sides = _bisect(lambda s: gap(kd, s), np.concatenate((t_lo[dip], touch[dip])),
+                        np.concatenate((touch[dip], t_hi[dip])))
+        k = np.concatenate((k, kt[~dip], kd))
+        roots = np.concatenate((roots, touch[~dip], sides))
     if fail.any():
         first = int(np.flatnonzero(fail)[0])
         raise PlacementError(f"circles disjoint for exemplar {rows[first].name!r}: "

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: verbs, JSON payloads, exit codes, manifests."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -219,8 +221,8 @@ def _reference_classicality(rows):
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _large_membership_rows(quoted):
-    """5000 seeded rows drawing names and weights from small pools, as a survey
+def _large_membership_rows(quoted, n=5000):
+    """``n`` seeded rows drawing names and weights from small pools, as a survey
     table repeats them; with ``quoted`` some names need CSV quotes."""
     rng = np.random.default_rng(23)
     names = ["Mint", "Root Ginger", "Synagoge", "Deck Chair", "é日", "a\\b"]
@@ -228,19 +230,25 @@ def _large_membership_rows(quoted):
         names += ["Tomato, cherry", 'Say "hi"']
     weights = [repr(round(x, 4)) for x in rng.random(40).tolist()] + [
         "0.0", "-0.0", "1.0", "1e-05", "5e-324", repr(0.1 + 0.2)]
-    pick = rng.integers(0, [len(names)] * 3 + [len(weights)] * 3 + [2], size=(5000, 7))
+    pick = rng.integers(0, [len(names)] * 3 + [len(weights)] * 3 + [2], size=(n, 7))
     return [[names[i] for i in p[:3]] + [weights[i] for i in p[3:6]] + [("and", "or")[p[6]]]
             for p in pick.tolist()]
 
 
-@pytest.mark.parametrize("source", ["hampton-table3", "no-rows", "odd-names",
+# table sizes about the chunk size of the streamed text: one row, exactly
+# one chunk, and one chunk and one row
+_CHUNK_EDGES = {f"table-{n}": n for n in (1, cli.ROWS_PER_CHUNK, cli.ROWS_PER_CHUNK + 1)}
+
+
+@pytest.mark.parametrize("source", ["hampton-table3", "no-rows", "odd-names", *_CHUNK_EDGES,
                                     "table-5000", "table-5000-quoted"])
 def test_classicality_outputs_match_json_dumps_and_csv_writer(run_cli, tmp_path, source):
     if source == "hampton-table3":
         args = ("--dataset", source)
         rows = _row_tuples(datasets.load_dataset(source).rows)
-    elif source.startswith("table-5000"):
-        rows = _large_membership_rows(quoted=source.endswith("quoted"))
+    elif source.startswith("table-"):
+        rows = _large_membership_rows(quoted=source.endswith("quoted"),
+                                      n=_CHUNK_EDGES.get(source, 5000))
         path = tmp_path / "in.csv"
         path.write_text(_membership_input(rows), encoding="utf-8")
         args = ("--input", path)
@@ -304,6 +312,47 @@ def test_classicality_csv_quotes_fields_that_need_it(run_cli, tmp_path):
                            repr(r.interference_need), "true", "None"]
 
 
+def test_classicality_json_call_holds_its_rows_text_once(tmp_path):
+    # the rows text is kept once, as chunks, for the JSON file and stdout;
+    # the CSV and the re-indented stdout are streamed chunk by chunk
+    path = tmp_path / "in.csv"
+    path.write_text(_membership_input(_large_membership_rows(quoted=True, n=20000)),
+                    encoding="utf-8")
+    argv = ["classicality", "--input", str(path), "--out-dir", str(tmp_path / "out"), "--json"]
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    size = (tmp_path / "out" / "classicality.json").stat().st_size
+    assert peak < 4 * size, f"peak {peak} bytes against a {size}-byte classicality.json"
+
+
+@pytest.mark.parametrize("mode", ["--json", "human"])
+def test_closed_stdout_is_one_json_error_and_no_traceback(tmp_path, mode):
+    # far more than a pipe buffer of stdout (5 MiB of JSON, 1.2 MiB of human
+    # report), read by nobody: the first write that does not fit fails with EPIPE
+    path = tmp_path / "in.csv"
+    path.write_text(_membership_input(_large_membership_rows(quoted=False, n=15000)),
+                    encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(qconcepts.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qconcepts.cli", "classicality", "--input", str(path),
+         "--out-dir", str(tmp_path / "out"), *([mode] if mode == "--json" else [])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert (tmp_path / "out" / "classicality.json").stat().st_size > 2 ** 20
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+
+
 def _with_signed_zero_imaginary_parts(build, built):
     """build_model, then every 7th component of vector B gets imaginary part -0.0;
     each model returned is appended to ``built``."""
@@ -317,14 +366,16 @@ def _with_signed_zero_imaginary_parts(build, built):
 
 
 @pytest.mark.parametrize("source", ["table2", "table2-vectors", "searched-signs",
-                                    "vectors-3000"])
+                                    "vectors-3000", "vectors-one-chunk"])
 def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path, monkeypatch,
                                                               source):
-    n_rows = {"searched-signs": 40, "vectors-3000": 3000}.get(source, 24)
-    if source == "vectors-3000":
+    # one chunk of rows, and vectors of one chunk and one element
+    n_rows = {"searched-signs": 40, "vectors-3000": 3000,
+              "vectors-one-chunk": cli.ROWS_PER_CHUNK}.get(source, 24)
+    if source.startswith("vectors-"):
         rng = np.random.default_rng(8)
-        mu_a, mu_b = rng.dirichlet(np.ones(3000)), rng.dirichlet(np.ones(3000))
-        phi = rng.uniform(-np.pi, np.pi, 3000)
+        mu_a, mu_b = rng.dirichlet(np.ones(n_rows)), rng.dirichlet(np.ones(n_rows))
+        phi = rng.uniform(-np.pi, np.pi, n_rows)
         mu_or = 0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * np.cos(phi)
         path = tmp_path / "x.csv"
         path.write_text("index,name,muA,muB,muAorB,phi_deg\n" + "".join(
@@ -353,7 +404,7 @@ def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert len(payload["rows"]) == n_rows
-    if source == "vectors-3000":
+    if source.startswith("vectors-"):
         vectors = {label: [[z.real, z.imag] for z in vec.tolist()]
                    for label, vec in (("A", built[0].vector_a), ("B", built[0].vector_b))}
         assert payload["vectors"] == vectors

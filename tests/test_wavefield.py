@@ -198,6 +198,26 @@ def test_near_tangency_is_kept_within_the_intensity_tolerance(clearance):
             place_exemplars(rows, config)
 
 
+@pytest.mark.parametrize("overlap", [1e-5, 1e-7, 2e-9])
+def test_crossings_within_one_sample_step_are_both_found(overlap):
+    # B's level curve pushed past the tangent radius by ``overlap``: the curves
+    # cross twice near the touching point, within one sample step of t for
+    # the two smaller overlaps, and h never changes sign between samples
+    touch = np.array([np.cos(0.3), np.sin(0.3)])
+    config = _circular_config(center=tuple(1.5 * touch))
+    mu_b = float(np.exp(-(0.25 + overlap)))
+    rows = [ExemplarRow(1, "Upper", E1, mu_b, 0.3), ExemplarRow(2, "Lower", E1, mu_b, 0.3)]
+    pos = place_exemplars(rows, config)
+    # on A's circle of radius 1 and on B's of radius sqrt(0.25 + overlap)
+    assert np.abs(np.sum(pos ** 2, axis=1) - 1.0).max() <= INTENSITY_TOL
+    assert np.abs(np.sum((pos - config.center_b) ** 2, axis=1)
+                  - (0.25 + overlap)).max() <= INTENSITY_TOL
+    # two distinct crossings, one either side of the touching point
+    side = touch[0] * pos[:, 1] - touch[1] * pos[:, 0]
+    assert side[0] > 0 > side[1]
+    assert pos[0, 1] > pos[1, 1]
+
+
 def test_the_first_unplaceable_row_in_input_order_raises():
     small = float(np.exp(-0.01))
     failing = {"PeakA": (1.0, E1, "peak of A misses its B level"),
