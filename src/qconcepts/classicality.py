@@ -57,13 +57,8 @@ class ClassicalityColumns:
     classical_representable: np.ndarray   # bool
     extension_code: np.ndarray            # int: position in list(ExtensionClass)
 
-    @property
-    def extension_class(self) -> np.ndarray:
-        """Object array of the ExtensionClass of each row."""
-        return _EXTENSION_CLASSES[self.extension_code]
 
-
-_EXTENSION_CLASSES = np.array(list(ExtensionClass), dtype=object)
+_EXTENSION_CLASSES = tuple(ExtensionClass)
 _NONE, _OVER, _DOUBLE_OVER, _UNDER, _DOUBLE_UNDER = range(5)
 
 
@@ -103,7 +98,7 @@ def _one_row(mu_a, mu_b, mu_joint, is_and) -> ClassicalityReport:
     return ClassicalityReport(float(cols.delta[0]), float(cols.kolmogorov_factor[0]),
                               float(cols.interference_need[0]),
                               bool(cols.classical_representable[0]),
-                              cols.extension_class[0])
+                              _EXTENSION_CLASSES[cols.extension_code[0]])
 
 
 def conjunction_diagnostics(mu_a: float, mu_b: float, mu_joint: float) -> ClassicalityReport:

@@ -149,11 +149,7 @@ def _digest(data: bytes) -> str:
 def _input_digests(args) -> dict:
     if getattr(args, "dataset", None):
         return {args.dataset: _digest(datasets.dataset_file_bytes(args.dataset))}
-    try:
-        with open(args.input, "rb") as fh:
-            return {str(args.input): _digest(fh.read())}
-    except OSError as exc:
-        raise DataError(f"cannot read {args.input}: {exc.strerror or exc}") from None
+    return {str(args.input): _digest(datasets.read_bytes(args.input))}
 
 
 def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
@@ -187,11 +183,11 @@ def _emit(args, payload: dict, human_lines, encoded=()):
 def _dataset_rows(args, kind: str):
     """Rows from --input or --dataset, checked against the expected payload kind."""
     if getattr(args, "dataset", None):
-        held = datasets.dataset_kind(args.dataset)
-        if held != kind:
+        ds = datasets.load_dataset(args.dataset)
+        if ds.kind != kind:
             raise ModelError(
-                f"dataset {args.dataset!r} holds {held} rows; this command needs {kind} rows")
-        return datasets.load_dataset(args.dataset).rows
+                f"dataset {args.dataset!r} holds {ds.kind} rows; this command needs {kind} rows")
+        return ds.rows
     loader = {
         "membership": datasets.load_membership_csv,
         "exemplar": datasets.load_exemplar_csv,

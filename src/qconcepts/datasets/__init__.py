@@ -131,12 +131,18 @@ def _table(text, source, header, build, optional=None):
     return rows
 
 
-def _read_text(path):
+def read_bytes(path) -> bytes:
+    """The bytes of an input file; an OSError becomes a DataError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}")
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _read_text(path):
+    try:
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
@@ -265,14 +271,9 @@ def parse_coincidence_csv(text, source="<coincidence csv>", outcome_names=None):
     return _table(text, source, COINCIDENCE_HEADER, block)
 
 
-def load_coincidence_csv(path, outcome_names=None):
+def load_coincidence_csv(path):
     """Parse a coincidence CSV (probabilities or raw counts, auto-detected)."""
-    return parse_coincidence_csv(_read_text(path), source=str(path),
-                                 outcome_names=outcome_names)
-
-
-def _bundled_text(filename):
-    return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
+    return parse_coincidence_csv(_read_text(path), source=str(path))
 
 
 _NOTES_ANIMAL_ACTS = (
@@ -346,15 +347,10 @@ def dataset_file_bytes(dataset_id: str) -> bytes:
     return resources.files(__package__).joinpath(_entry(dataset_id)[1]).read_bytes()
 
 
-def dataset_kind(dataset_id: str) -> str:
-    """The kind of rows a bundled dataset holds (membership, exemplar or coincidence)."""
-    return _entry(dataset_id)[0]
-
-
 def load_dataset(dataset_id: str) -> Dataset:
     """Load and validate one bundled dataset by id."""
     kind, filename, provenance, notes, connective = _entry(dataset_id)
-    rows = _PARSERS[kind](_bundled_text(filename), source=filename)
+    rows = _PARSERS[kind](dataset_file_bytes(dataset_id).decode("utf-8"), source=filename)
     if connective is not None:
         rows = rows.take([i for i, c in enumerate(rows.connective) if c == connective])
     return Dataset(dataset_id, provenance, kind,

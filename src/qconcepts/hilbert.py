@@ -47,10 +47,6 @@ class StateVector:
                     f"state vector not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}"
                 )
 
-    @property
-    def dim(self) -> int:
-        return self.components.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
 

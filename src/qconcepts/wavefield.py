@@ -3,11 +3,11 @@
 Two planar wave packets
 
     psi_A(x, y) = sqrt(D_A) exp(-(x^2/(4 s_Ax^2) + y^2/(4 s_Ay^2))) e^{i S_A}
-    psi_B centered at center_b with widths s_Bx, s_By and phase S_B
+    psi_B centered at CENTER_B with widths s_Bx, s_By and phase S_B
 
 carry intensities I = |psi|^2, so each exemplar's two membership weights
 pin it to one level curve of I_A (about the origin) and one of I_B (about
-center_b). Exemplars are placed on intersections of those curves, the
+CENTER_B). Exemplars are placed on intersections of those curves, the
 phase difference phi = S_A - S_B is interpolated over the placed points by
 a low-order polynomial, and the superposed intensity
 
@@ -47,7 +47,9 @@ from .errors import ModelError, PlacementError
 INTENSITY_TOL = 1e-9        # log-space agreement required at placed points
 PHASE_FIT_TOL = 1e-6        # radians, interpolation residual bound
 MARGIN_FLOOR = 0.05         # log-intensity clearance kept by the width fit
-DEFAULT_EXTENT = (-15.0, 25.0, -15.0, 20.0)
+DEFAULT_EXTENT = (-15.0, 25.0, -15.0, 20.0)    # every raster's window
+# B's centre; it must lie off both coordinate axes for the width fit
+CENTER_B = (10.0, 4.0)
 DEFAULT_GRID = (512, 512)
 
 _SCAN_POINTS = 512          # width-fit scan resolution
@@ -295,10 +297,10 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     return positions
 
 
-def _fit_widths(rows, center_b):
+def _fit_widths(rows):
     """One-parameter width fit: circular A pinned by B's anchor, elliptical B.
 
-    The A-peak row sits at the origin and the B-peak row at center_b, which
+    The A-peak row sits at the origin and the B-peak row at CENTER_B, which
     pins sigma_A and one linear combination of B's axis weights. The loose
     parameter u_B = 1/(2 sigma_Bx^2) is chosen as the largest value whose
     worst-row log-intensity clearance still reaches MARGIN_FLOOR, keeping B
@@ -311,9 +313,7 @@ def _fit_widths(rows, center_b):
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
     if ia == ib:
         raise PlacementError("width fit needs distinct peak rows for the two concepts")
-    a, b = float(center_b[0]), float(center_b[1])
-    if a == 0.0 or b == 0.0:
-        raise PlacementError("width fit needs center_b off both coordinate axes")
+    a, b = CENTER_B
     d = np.hypot(a, b)
     la = _log_ratios(float(mu_a[ia]), mu_a, "muA")
     lb = _log_ratios(float(mu_b[ib]), mu_b, "muB")
@@ -365,16 +365,17 @@ def _fit_widths(rows, center_b):
     return sigma_a, 1.0 / np.sqrt(2.0 * u_star), 1.0 / np.sqrt(2.0 * v_star), ia, ib
 
 
-def default_config(rows, center_b=(10.0, 4.0)) -> WaveFieldConfig:
-    """Fit widths to the data, place all exemplars, and return the full config."""
+def default_config(rows) -> WaveFieldConfig:
+    """Fit widths to the data with B centred at CENTER_B, place all
+    exemplars, and return the full config."""
     rows = tuple(rows)
-    sigma_a, sigma_bx, sigma_by, ia, ib = _fit_widths(rows, center_b)
+    sigma_a, sigma_bx, sigma_by, ia, ib = _fit_widths(rows)
     config = WaveFieldConfig(
         amplitude_a=float(max(r.mu_a for r in rows)),
         amplitude_b=float(max(r.mu_b for r in rows)),
         sigma_ax=float(sigma_a), sigma_ay=float(sigma_a),
         sigma_bx=float(sigma_bx), sigma_by=float(sigma_by),
-        center_b=(float(center_b[0]), float(center_b[1])),
+        center_b=CENTER_B,
     )
     return replace(config, positions=place_exemplars(rows, config))
 
@@ -397,7 +398,7 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
     Solves the square system on the n lowest monomials (coordinates scaled
     to unit box for conditioning, coefficients mapped back). A singular or
     ill-conditioned system falls back to a minimum-norm least squares fit
-    over the 30 lowest monomials, flagged on the result.
+    over the max(30, n) lowest monomials, flagged on the result.
     """
     pos = np.asarray(positions, dtype=float)
     phi = np.asarray(phases, dtype=float)
@@ -479,9 +480,9 @@ def evaluate_at(config: WaveFieldConfig, phase: PhasePolynomial, points):
     return i_a, i_b, np.maximum(raw, 0.0), classical
 
 
-def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
-                      grid=DEFAULT_GRID, extent=DEFAULT_EXTENT):
-    """Rasterize the four patterns; returns a dict keyed by GridKind.
+def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial, grid=DEFAULT_GRID):
+    """Rasterize the four patterns over DEFAULT_EXTENT; returns a dict keyed
+    by GridKind.
 
     The raster must cover every placed exemplar so the patterns actually
     witness the data they were built from.
@@ -489,9 +490,7 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ModelError("grid must be at least 2x2")
-    x_min, x_max, y_min, y_max = (float(v) for v in extent)
-    if x_min >= x_max or y_min >= y_max:
-        raise ModelError("extent must be non-degenerate")
+    x_min, x_max, y_min, y_max = ext = DEFAULT_EXTENT
     if config.positions is not None:
         px, py = config.positions[:, 0], config.positions[:, 1]
         if (px.min() < x_min or px.max() > x_max or py.min() < y_min or py.max() > y_max):
@@ -515,7 +514,6 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial,
                 int(np.count_nonzero(sup < cla)))
 
     clamps, above, below = (sum(c) for c in zip(*_map_blocks(block, nx, ny, scratch=3)))
-    ext = (x_min, x_max, y_min, y_max)
     return {
         GridKind.INTENSITY_A: GridPattern(nx, ny, ext, i_a, GridKind.INTENSITY_A),
         GridKind.INTENSITY_B: GridPattern(nx, ny, ext, i_b, GridKind.INTENSITY_B),
@@ -554,7 +552,7 @@ def atomic_write(path, chunks):
         raise
 
 
-def export_grid(pattern: GridPattern, path: str, fmt: str = "csv"):
+def export_grid(pattern: GridPattern, path: str, fmt: str):
     """Write one pattern to disk; returns the list of files written.
 
     csv: `x,y,value` rows in row-major order (y outer, x inner), 9

@@ -175,7 +175,7 @@ def test_batch_diagnose_matches_the_reference_bitwise_on_mixed_tables(rows):
     got = [_hex_row(*row) for row in zip(
         cols.delta.tolist(), cols.kolmogorov_factor.tolist(),
         cols.interference_need.tolist(), cols.classical_representable.tolist(),
-        cols.extension_class.tolist())]
+        [list(ExtensionClass)[c] for c in cols.extension_code.tolist()])]
     want = [_hex_row(*(_reference_conjunction if c else _reference_disjunction)(*t))
             for t, c in rows]
     assert got == want

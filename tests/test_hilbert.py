@@ -38,7 +38,7 @@ def random_unitary(dim, rng=RNG):
 
 def test_state_vector_accepts_unit_norm():
     s = StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
-    assert s.dim == 2
+    assert s.components.size == 2
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -15,6 +15,7 @@ from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
+    CENTER_B,
     DEFAULT_EXTENT,
     INTENSITY_TOL,
     MARGIN_FLOOR,
@@ -242,22 +243,22 @@ def test_width_fit_requires_distinct_peaks_and_offset_center():
         ExemplarRow(1, "X", 0.30, 0.10, 0.3),
         ExemplarRow(2, "Y", 0.20, 0.25, 0.2),
     ]
-    with pytest.raises(PlacementError, match="off both coordinate axes"):
-        default_config(rows, center_b=(10.0, 0.0))
+    # the fit divides by both of B's centre coordinates
+    assert 0.0 not in CENTER_B
     # no row besides the two peaks: every scanned u keeps an infinite margin,
     # so the bisection runs up to u_max = lb[ia] / a^2
-    fit = _fit_widths(rows, (10.0, 4.0))
-    assert fit == _fit_widths_loop(rows, (10.0, 4.0))
-    u_max = np.log(0.25 / 0.10) / 10.0 ** 2
+    fit = _fit_widths(rows)
+    assert fit == _fit_widths_loop(rows)
+    u_max = np.log(0.25 / 0.10) / CENTER_B[0] ** 2
     assert fit[1] == pytest.approx(1.0 / np.sqrt(2.0 * u_max), rel=1e-12)
 
 
-def _fit_widths_loop(rows, center_b):
+def _fit_widths_loop(rows):
     """Reference width fit: every margin recomputes each row's curve from t."""
     mu_a = np.array([r.mu_a for r in rows])
     mu_b = np.array([r.mu_b for r in rows])
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
-    a, b = float(center_b[0]), float(center_b[1])
+    a, b = CENTER_B
     d = np.hypot(a, b)
     la = _log_ratios(float(mu_a[ia]), mu_a, "muA")
     lb = _log_ratios(float(mu_b[ib]), mu_b, "muB")
@@ -312,16 +313,16 @@ def _perturbed(rows, seed, scale):
 
 def test_width_fit_matches_per_row_loop(table2):
     rows = table2[0]
-    assert _fit_widths(rows, (10.0, 4.0)) == _fit_widths_loop(rows, (10.0, 4.0))
+    assert _fit_widths(rows) == _fit_widths_loop(rows)
     for seed in (0, 1):
         pert = _perturbed(rows, seed, 0.1)
-        assert _fit_widths(pert, (10.0, 4.0)) == _fit_widths_loop(pert, (10.0, 4.0))
+        assert _fit_widths(pert) == _fit_widths_loop(pert)
     # a 0.2 spread with seed 0 leaves no width assignment that fits
     pert = _perturbed(rows, 0, 0.2)
     with pytest.raises(PlacementError, match="no width assignment"):
-        _fit_widths_loop(pert, (10.0, 4.0))
+        _fit_widths_loop(pert)
     with pytest.raises(PlacementError, match="no width assignment"):
-        _fit_widths(pert, (10.0, 4.0))
+        _fit_widths(pert)
 
 
 def _place_exemplars_loop(rows, config):
@@ -493,10 +494,11 @@ def test_evaluate_patterns_validates_grid_and_extent(table2):
     _, config, _, poly = table2
     with pytest.raises(ModelError, match="2x2"):
         evaluate_patterns(config, poly, grid=(1, 8))
-    with pytest.raises(ModelError, match="non-degenerate"):
-        evaluate_patterns(config, poly, extent=(5.0, 5.0, -1.0, 1.0))
+    # one exemplar moved past the right edge of DEFAULT_EXTENT
+    outside = config.positions.copy()
+    outside[0, 0] = DEFAULT_EXTENT[1] + 1.0
     with pytest.raises(ModelError, match="does not cover"):
-        evaluate_patterns(config, poly, extent=(-1.0, 1.0, -1.0, 1.0))
+        evaluate_patterns(dataclasses.replace(config, positions=outside), poly)
 
 
 def test_ninety_degree_phase_degenerates_to_classical(table2):
@@ -620,17 +622,17 @@ def test_a_helper_error_reaches_the_caller_and_no_helper_outlives_it(
 
 
 def test_helpers_run_under_the_callers_numpy_error_state(table2, set_cpus):
-    _, config, _, poly = table2
-    # x ** 4 overflows on every row of this extent
-    extent, grid = (-1e100, 1e100, -15.0, 20.0), (BLOCK_NX, 4 * BLOCK)
+    _, config, _, _ = table2
+    # this x ** 4 term overflows at the raster's x edges, so in every row block
+    poly, grid = PhasePolynomial(((4, 0, 1e305),)), (BLOCK_NX, 4 * BLOCK)
     reference = None
     for cpus in CPU_COUNTS:
         set_cpus(cpus)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            evaluate_patterns(config, poly, grid=grid, extent=extent)
+            evaluate_patterns(config, poly, grid=grid)
         # a helper under the default state would warn, an error under pytest
         with np.errstate(all="ignore"):
-            patterns = evaluate_patterns(config, poly, grid=grid, extent=extent)
+            patterns = evaluate_patterns(config, poly, grid=grid)
         reference = patterns if reference is None else reference
         for kind in GridKind:
             assert np.array_equal(patterns[kind].values, reference[kind].values,
@@ -664,7 +666,7 @@ def test_export_csv_matches_per_pixel_format(tmp_path, table2):
     patterns.append(_edge_values_pattern())
     for i, pattern in enumerate(patterns):
         path = tmp_path / f"{i}.csv"
-        export_grid(pattern, str(path))
+        export_grid(pattern, str(path), fmt="csv")
         assert path.read_bytes() == _csv_reference(pattern), (i, pattern.kind)
     text = (tmp_path / f"{len(patterns) - 1}.csv").read_text()
     assert text.split("\n")[1:7] == ["-1,-0.5,1e-05", "0,-0.5,-0", "1,-0.5,inf",
@@ -674,22 +676,18 @@ def test_export_csv_matches_per_pixel_format(tmp_path, table2):
 
 def test_export_csv_layout(tmp_path, table2):
     _, config, _, poly = table2
-    # positions fall outside this tiny extent, so strip them for the raster
-    bare = WaveFieldConfig(config.amplitude_a, config.amplitude_b, config.sigma_ax,
-                           config.sigma_ay, config.sigma_bx, config.sigma_by,
-                           config.center_b)
-    pattern = evaluate_patterns(bare, poly, grid=(3, 2), extent=(0.0, 2.0, 0.0, 1.0))
+    pattern = evaluate_patterns(config, poly, grid=(3, 2))
     grid = pattern[GridKind.INTENSITY_A]
     path = tmp_path / "field.csv"
-    written = export_grid(grid, str(path))
+    written = export_grid(grid, str(path), fmt="csv")
     assert written == [str(path)]
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 6
-    # row-major, y outer ascending: first three rows share y = 0
+    # row-major, y outer ascending: the first three rows share the lowest y
     first = [line.split(",") for line in lines[1:4]]
-    assert [row[0] for row in first] == ["0", "1", "2"]
-    assert all(row[1] == "0" for row in first)
+    assert [row[0] for row in first] == ["-15", "5", "25"]
+    assert all(row[1] == "-15" for row in first)
     assert float(first[1][2]) == pytest.approx(grid.values[0, 1], rel=1e-8)
 
 
@@ -790,8 +788,8 @@ def test_export_is_byte_identical_across_runs(tmp_path, table2):
     _, config, _, poly = table2
     pattern = evaluate_patterns(config, poly, grid=(32, 32))[GridKind.SUPERPOSED]
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    export_grid(pattern, str(p1))
-    export_grid(pattern, str(p2))
+    export_grid(pattern, str(p1), fmt="csv")
+    export_grid(pattern, str(p2), fmt="csv")
     assert p1.read_bytes() == p2.read_bytes()
     q1, q2 = tmp_path / "one.pgm", tmp_path / "two.pgm"
     export_grid(pattern, str(q1), fmt="pgm")
