@@ -28,9 +28,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, classicality, datasets, disjunction_model, entanglement, fock, wavefield
-from .errors import DataError, ModelError, NoInterferenceSolution
-
-CHSH_BLOCKS = ("AB", "A'B", "AB'", "A'B'")
+from .errors import ConstructionInapplicable, DataError, ModelError, NoInterferenceSolution
 
 _PATTERN_FILES = (
     (wavefield.GridKind.INTENSITY_A, "wavefield_intensity_a"),
@@ -267,33 +265,42 @@ def _cmd_classicality(args, argv) -> int:
 
 # ------------------------------------------------------------------------ fock
 
+# connective -> (angle extraction, forward prediction)
+_FOCK_CONNECTIVES = {
+    "and": (fock.interference_angle_conjunction, fock.fock_conjunction),
+    "or": (fock.interference_angle_disjunction, fock.fock_disjunction),
+}
+
+
 def _cmd_fock(args, argv) -> int:
     weights = fock.FockWeights(args.m2, 1.0 - args.m2)
-    solution = fock.solve_interference(args.mu_a, args.mu_b, args.mu_joint,
-                                       args.connective, weights)
-    forward = fock.fock_conjunction if args.connective == "and" else fock.fock_disjunction
-    roundtrip = forward(args.mu_a, args.mu_b, solution.beta, weights)
+    extract, forward = _FOCK_CONNECTIVES[args.connective]
+    beta = extract(args.mu_a, args.mu_b, args.mu_joint, weights)
+    try:
+        vec_a, vec_b, proj = fock.build_c3_vectors(args.mu_a, args.mu_b, beta)
+        c3 = {
+            "vector_a": [[z.real, z.imag] for z in vec_a.components],
+            "vector_b": [[z.real, z.imag] for z in vec_b.components],
+            "projector_indices": list(proj.basis_indices),
+        }
+    except ConstructionInapplicable:
+        c3 = None
+    roundtrip = forward(args.mu_a, args.mu_b, beta, weights)
     payload = {
         "connective": args.connective,
         "muA": args.mu_a,
         "muB": args.mu_b,
         "muJoint": args.mu_joint,
         "weights": {"m2": weights.m_sq, "n2": weights.n_sq},
-        "beta_deg": _deg_json(solution.beta),
+        "beta_deg": _deg_json(beta),
         "prediction_roundtrip": roundtrip,
-        "c3": None,
+        "c3": c3,
     }
-    if solution.vector_a is not None:
-        payload["c3"] = {
-            "vector_a": [[z.real, z.imag] for z in solution.vector_a.components],
-            "vector_b": [[z.real, z.imag] for z in solution.vector_b.components],
-            "projector_indices": list(solution.projector.basis_indices),
-        }
     human = [
-        f"interference angle: {np.degrees(solution.beta):.2f} deg",
+        f"interference angle: {np.degrees(beta):.2f} deg",
         f"sector weights: m2 = {_sig(weights.m_sq)}, n2 = {_sig(weights.n_sq)}",
         f"round-trip prediction: {_sig(roundtrip)} (target {_sig(args.mu_joint)})",
-        "3-d realization: " + ("included" if payload["c3"] else
+        "3-d realization: " + ("included" if c3 else
                                "not applicable (needs muA > 0 and muA + muB >= 1)"),
     ]
     _emit(args, payload, human)
@@ -303,24 +310,9 @@ def _cmd_fock(args, argv) -> int:
 # ------------------------------------------------------------------------ chsh
 
 def _cmd_chsh(args, argv) -> int:
-    tables = _dataset_rows(args, "coincidence")
-    by_label = {}
-    for t in tables:
-        if t.label in by_label:
-            raise ModelError(f"duplicate coincidence block {t.label!r}")
-        by_label[t.label] = t
-    missing = [b for b in CHSH_BLOCKS if b not in by_label]
-    if missing:
-        raise ModelError(f"missing coincidence blocks: {', '.join(missing)}")
-    extra = [lbl for lbl in by_label if lbl not in CHSH_BLOCKS]
-    if extra:
-        raise ModelError(f"unexpected coincidence blocks: {', '.join(sorted(extra))}")
-    result = entanglement.chsh_statistic(
-        by_label["AB"], by_label["A'B"], by_label["AB'"], by_label["A'B'"])
-
+    result = entanglement.chsh_statistic(_dataset_rows(args, "coincidence"))
     diagnostics = []
-    for block in CHSH_BLOCKS:
-        t = by_label[block]
+    for t in result.tables:
         total = sum(t.probabilities)
         diagnostics.append({
             "label": t.label,
@@ -331,10 +323,7 @@ def _cmd_chsh(args, argv) -> int:
             "count_total": t.total,
         })
     payload = {
-        "expectations": {
-            "AB": result.e_ab, "A'B": result.e_apb,
-            "AB'": result.e_abp, "A'B'": result.e_apbp,
-        },
+        "expectations": result.expectations,
         "s": result.s,
         "classification": result.classification.value,
         "local_deterministic_bound": entanglement.local_deterministic_bound(),
@@ -342,8 +331,8 @@ def _cmd_chsh(args, argv) -> int:
         "tables": diagnostics,
     }
     human = [
-        f"E(A,B) = {_sig(result.e_ab)}   E(A',B) = {_sig(result.e_apb)}   "
-        f"E(A,B') = {_sig(result.e_abp)}   E(A',B') = {_sig(result.e_apbp)}",
+        "E(A,B) = {}   E(A',B) = {}   E(A,B') = {}   E(A',B') = {}".format(
+            *map(_sig, result.expectations.values())),
         f"s = E(A',B') + E(A',B) + E(A,B') - E(A,B) = {_sig(result.s)}",
         f"classification: {result.classification.value} "
         f"(classical bound 2, quantum bound {_sig(entanglement.tsirelson_bound())})",
@@ -530,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="delta/k/f diagnostics and extension classes per row")
     _add_source_flags(p, "membership")
     p.add_argument("--out-dir", help="directory for the JSON/CSV reports")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_classicality)
 
     p = subs.add_parser("fock",
@@ -538,15 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-a", type=float, required=True, dest="mu_a")
     p.add_argument("--mu-b", type=float, required=True, dest="mu_b")
     p.add_argument("--mu-joint", type=float, required=True, dest="mu_joint")
-    p.add_argument("--connective", choices=("and", "or"), required=True)
+    p.add_argument("--connective", choices=_FOCK_CONNECTIVES, required=True)
     p.add_argument("--m2", type=float, default=0.3,
                    help="pair-sector weight m^2 (default 0.3)")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_fock)
 
     p = subs.add_parser("chsh", help="CHSH statistic over four coincidence blocks")
     _add_source_flags(p, "coincidence")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_chsh)
 
     p = subs.add_parser("disjunction-model",
@@ -554,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p, "exemplar")
     p.add_argument("--emit-vectors", action="store_true",
                    help="include the complex concept vectors in the JSON")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_disjunction_model)
 
     p = subs.add_parser("wavefield",
@@ -564,12 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NXxNY", help="raster size, e.g. 512x512 (default)")
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
     p.add_argument("--out-dir", help="directory for the pattern files")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_wavefield)
 
     p = subs.add_parser("datasets", help="catalog of bundled datasets")
-    p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     p.set_defaults(func=_cmd_datasets)
+    for p in subs.choices.values():
+        p.add_argument("--json", action="store_true", help="pure JSON on stdout")
     return parser
 
 

@@ -26,6 +26,9 @@ NORMALIZATION_SLACK = 0.002
 
 DEFAULT_OUTCOME_NAMES = ("o11", "o12", "o21", "o22")
 
+# the four measurement pairings s combines, one coincidence table each
+CHSH_BLOCKS = ("AB", "A'B", "AB'", "A'B'")
+
 
 class CHSHClass(enum.Enum):
     CLASSICAL = "Classical"
@@ -90,10 +93,8 @@ def coincidence_from_values(label, values,
 
 @dataclass(frozen=True)
 class CHSHResult:
-    e_ab: float
-    e_apb: float
-    e_abp: float
-    e_apbp: float
+    tables: tuple               # one CoincidenceTable per block, in CHSH_BLOCKS order
+    expectations: dict          # block label -> E, in CHSH_BLOCKS order
     s: float
     classification: CHSHClass
 
@@ -103,21 +104,31 @@ def expectation_value(table: CoincidenceTable) -> float:
     return table.p11 - table.p12 - table.p21 + table.p22
 
 
-def chsh_statistic(t_ab: CoincidenceTable, t_apb: CoincidenceTable,
-                   t_abp: CoincidenceTable, t_apbp: CoincidenceTable) -> CHSHResult:
-    """s = E(A',B') + E(A',B) + E(A,B') - E(A,B), classified against 2 and 2*sqrt(2)."""
-    e_ab = expectation_value(t_ab)
-    e_apb = expectation_value(t_apb)
-    e_abp = expectation_value(t_abp)
-    e_apbp = expectation_value(t_apbp)
-    s = e_apbp + e_apb + e_abp - e_ab
+def chsh_statistic(tables) -> CHSHResult:
+    """s = E(A',B') + E(A',B) + E(A,B') - E(A,B), classified against 2 and 2*sqrt(2).
+
+    ``tables`` holds exactly one table per label of CHSH_BLOCKS, in any order.
+    """
+    by_label = {}
+    for t in tables:
+        if t.label in by_label:
+            raise ModelError(f"duplicate coincidence block {t.label!r}")
+        by_label[t.label] = t
+    missing = [b for b in CHSH_BLOCKS if b not in by_label]
+    if missing:
+        raise ModelError(f"missing coincidence blocks: {', '.join(missing)}")
+    extra = sorted(set(by_label) - set(CHSH_BLOCKS))
+    if extra:
+        raise ModelError(f"unexpected coincidence blocks: {', '.join(extra)}")
+    e = {b: expectation_value(by_label[b]) for b in CHSH_BLOCKS}
+    s = e["A'B'"] + e["A'B"] + e["AB'"] - e["AB"]
     if abs(s) <= 2.0:
         cls = CHSHClass.CLASSICAL
     elif abs(s) <= tsirelson_bound():
         cls = CHSHClass.QUANTUM_VIOLATION
     else:
         cls = CHSHClass.BEYOND_QUANTUM
-    return CHSHResult(e_ab, e_apb, e_abp, e_apbp, s, cls)
+    return CHSHResult(tuple(by_label[b] for b in CHSH_BLOCKS), e, s, cls)
 
 
 def deterministic_strategy_values():

@@ -44,16 +44,6 @@ class FockWeights:
             )
 
 
-@dataclass(frozen=True)
-class InterferenceSolution:
-    """Extracted angle plus the concrete 3-d realization when it exists."""
-
-    beta: float                      # radians
-    vector_a: StateVector | None = None
-    vector_b: StateVector | None = None
-    projector: Projector | None = None
-
-
 def _sector1(mu_a, mu_b, beta):
     return (mu_a + mu_b) / 2.0 + np.sqrt((1.0 - mu_a) * (1.0 - mu_b)) * np.cos(beta)
 
@@ -131,25 +121,6 @@ def build_c3_vectors(mu_a: float, mu_b: float, beta: float):
     )
     proj = Projector(basis_indices=(0, 1), dim=3)
     return StateVector(vec_a), StateVector(vec_b), proj
-
-
-def solve_interference(mu_a: float, mu_b: float, mu_joint: float, connective: str,
-                       weights: FockWeights) -> InterferenceSolution:
-    """Extract the angle for one connective and attach the 3-d realization.
-
-    The vectors are only constructible when muA > 0 and muA + muB >= 1;
-    otherwise the solution carries the angle alone.
-    """
-    if connective == "and":
-        beta = interference_angle_conjunction(mu_a, mu_b, mu_joint, weights)
-    elif connective == "or":
-        beta = interference_angle_disjunction(mu_a, mu_b, mu_joint, weights)
-    else:
-        raise ModelError(f"connective must be 'and' or 'or', got {connective!r}")
-    vec_a = vec_b = proj = None
-    if mu_a > 0.0 and mu_a + mu_b >= 1.0:
-        vec_a, vec_b, proj = build_c3_vectors(mu_a, mu_b, beta)
-    return InterferenceSolution(beta, vec_a, vec_b, proj)
 
 
 def complex_sum_interference(a: float, alpha: float, b: float, beta: float) -> float:

@@ -475,6 +475,19 @@ def test_fock_infeasible_reports_machine_readable_error(run_cli):
     assert "outside [-1, 1]" in info["message"]
 
 
+def test_fock_without_c3_realization(run_cli, run_cli_json):
+    # muA + muB < 1: the angle exists, the 3-d vectors do not
+    argv = ("fock", "--mu-a", 0.3, "--mu-b", 0.4, "--mu-joint", 0.45, "--connective", "or")
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    assert out.endswith("3-d realization: not applicable (needs muA > 0 and muA + muB >= 1)\n")
+
+    code, payload, _ = run_cli_json(*argv)
+    assert code == 0
+    assert payload["c3"] is None
+    assert payload["prediction_roundtrip"] == pytest.approx(0.45, abs=1e-12)
+
+
 def test_chsh_json_payload(run_cli_json):
     code, payload, _ = run_cli_json("chsh", "--dataset", "animal-acts-table1")
     assert code == 0
@@ -514,6 +527,18 @@ def test_chsh_missing_block_errors(run_cli, tmp_path):
     info = json.loads(err)["error"]
     assert "missing coincidence blocks" in info["message"]
     assert "AB'" in info["message"]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["AB,4,51,21,5"], "duplicate coincidence block 'AB'"),
+    (["ZZ,2,2,2,2", "AA,2,2,2,2"], "unexpected coincidence blocks: AA, ZZ"),
+])
+def test_chsh_block_rule_errors(run_cli, tmp_path, rows, message):
+    path = tmp_path / "blocks.csv"
+    path.write_text(COUNTS_CSV + "\n".join(rows) + "\n")
+    code, out, err = run_cli("chsh", "--input", path, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ModelError", "message": message}}
 
 
 def test_disjunction_model_json(run_cli_json):

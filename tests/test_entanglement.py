@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qconcepts.entanglement import (
+    CHSH_BLOCKS,
     CHSHClass,
     CoincidenceTable,
     chsh_statistic,
@@ -89,37 +90,59 @@ def test_expectation_matches_signed_sum():
 
 
 def test_chsh_from_probabilities_pins():
-    t = _tables(TABLE_PROBS)
-    res = chsh_statistic(t["AB"], t["A'B"], t["AB'"], t["A'B'"])
-    assert res.e_ab == pytest.approx(-0.778, abs=1e-12)
-    assert res.e_apb == pytest.approx(0.655, abs=1e-12)
-    assert res.e_abp == pytest.approx(0.358, abs=1e-12)
-    assert res.e_apbp == pytest.approx(0.630, abs=1e-12)
+    res = chsh_statistic(_tables(TABLE_PROBS).values())
+    assert res.expectations["AB"] == pytest.approx(-0.778, abs=1e-12)
+    assert res.expectations["A'B"] == pytest.approx(0.655, abs=1e-12)
+    assert res.expectations["AB'"] == pytest.approx(0.358, abs=1e-12)
+    assert res.expectations["A'B'"] == pytest.approx(0.630, abs=1e-12)
     assert res.s == pytest.approx(2.4210000000000003, abs=1e-12)
     assert res.classification is CHSHClass.QUANTUM_VIOLATION
 
 
 def test_chsh_from_counts_pins():
-    t = _tables(TABLE_COUNTS)
-    res = chsh_statistic(t["AB"], t["A'B"], t["AB'"], t["A'B'"])
-    assert res.e_ab == pytest.approx(-0.7777777777777778, abs=1e-12)
-    assert res.e_apb == pytest.approx(0.654320987654321, abs=1e-12)
-    assert res.e_abp == pytest.approx(0.35802469135802467, abs=1e-12)
-    assert res.e_apbp == pytest.approx(0.6296296296296297, abs=1e-12)
+    res = chsh_statistic(_tables(TABLE_COUNTS).values())
+    assert res.expectations["AB"] == pytest.approx(-0.7777777777777778, abs=1e-12)
+    assert res.expectations["A'B"] == pytest.approx(0.654320987654321, abs=1e-12)
+    assert res.expectations["AB'"] == pytest.approx(0.35802469135802467, abs=1e-12)
+    assert res.expectations["A'B'"] == pytest.approx(0.6296296296296297, abs=1e-12)
     assert res.s == pytest.approx(2.419753086419753, abs=1e-12)
     assert res.classification is CHSHClass.QUANTUM_VIOLATION
 
 
 def test_classification_boundaries():
-    perfect = CoincidenceTable("x", 0.5, 0.0, 0.0, 0.5)  # E = 1
-    res = chsh_statistic(perfect, perfect, perfect, perfect)
+    def perfect(label):
+        return CoincidenceTable(label, 0.5, 0.0, 0.0, 0.5)  # E = 1
+
+    res = chsh_statistic(map(perfect, CHSH_BLOCKS))
     assert res.s == pytest.approx(2.0, abs=1e-15)
     assert res.classification is CHSHClass.CLASSICAL
 
-    anti = CoincidenceTable("x", 0.0, 0.5, 0.5, 0.0)  # E = -1
-    res = chsh_statistic(anti, perfect, perfect, perfect)
+    anti = CoincidenceTable("AB", 0.0, 0.5, 0.5, 0.0)  # E = -1
+    res = chsh_statistic([anti, *map(perfect, CHSH_BLOCKS[1:])])
     assert res.s == pytest.approx(4.0, abs=1e-15)
     assert res.classification is CHSHClass.BEYOND_QUANTUM
+
+
+def test_chsh_takes_blocks_in_any_order_and_reports_them_in_block_order():
+    tables = _tables(TABLE_PROBS)
+    res = chsh_statistic(reversed(list(tables.values())))
+    assert [t.label for t in res.tables] == list(CHSH_BLOCKS)
+    assert list(res.expectations) == list(CHSH_BLOCKS)
+    assert res.s == chsh_statistic(tables.values()).s
+
+
+def test_chsh_needs_exactly_one_table_per_block():
+    t = _tables(TABLE_PROBS)
+    with pytest.raises(ModelError, match="^duplicate coincidence block \"AB'\"$"):
+        chsh_statistic([t["AB"], t["AB'"], t["A'B"], t["AB'"], t["AB"], t["A'B'"]])
+    with pytest.raises(ModelError, match="^missing coincidence blocks: AB, A'B'$"):
+        chsh_statistic([t["AB'"], t["A'B"]])
+    extra = [coincidence_from_values(label, TABLE_PROBS["AB"]) for label in ("ZZ", "AA")]
+    with pytest.raises(ModelError, match="^unexpected coincidence blocks: AA, ZZ$"):
+        chsh_statistic([*t.values(), *extra])
+    # a missing block is reported before an unexpected one
+    with pytest.raises(ModelError, match="^missing coincidence blocks: AB$"):
+        chsh_statistic([extra[0], t["A'B"], t["AB'"], t["A'B'"]])
 
 
 def test_deterministic_strategies_are_saturated():

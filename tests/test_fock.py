@@ -13,7 +13,6 @@ from qconcepts.fock import (
     fock_disjunction,
     interference_angle_conjunction,
     interference_angle_disjunction,
-    solve_interference,
 )
 from qconcepts.hilbert import born_probability, inner_product
 
@@ -178,17 +177,6 @@ def test_c3_precondition_is_enforced():
     assert "muA > 0" in str(exc_info.value)
     with pytest.raises(ConstructionInapplicable):
         build_c3_vectors(0.4, 0.5, 0.5)
-
-
-def test_solve_interference_attaches_vectors_when_constructible():
-    w = FockWeights(0.3, 0.7)
-    sol = solve_interference(0.87, 0.81, 0.90, "and", w)
-    assert sol.vector_a is not None and sol.projector is not None
-    # weights that violate muA + muB >= 1 yield the angle alone
-    sol = solve_interference(0.3, 0.4, 0.4, "or", w)
-    assert sol.vector_a is None
-    with pytest.raises(ModelError):
-        solve_interference(0.3, 0.4, 0.4, "xor", w)
 
 
 # ------------------------------------------------------------------ complex sum
