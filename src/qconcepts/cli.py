@@ -18,6 +18,7 @@ precision in JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,13 +30,6 @@ import numpy as np
 
 from . import __version__, classicality, datasets, disjunction_model, entanglement, fock, wavefield
 from .errors import ConstructionInapplicable, DataError, ModelError, NoInterferenceSolution
-
-_PATTERN_FILES = (
-    (wavefield.GridKind.INTENSITY_A, "wavefield_intensity_a"),
-    (wavefield.GridKind.INTENSITY_B, "wavefield_intensity_b"),
-    (wavefield.GridKind.SUPERPOSED, "wavefield_superposed"),
-    (wavefield.GridKind.CLASSICAL_AVERAGE, "wavefield_classical_average"),
-)
 
 
 def _sig(x) -> str:
@@ -438,27 +432,17 @@ def _cmd_wavefield(args, argv) -> int:
 
     out = _out_dir(args)
     outputs = []
-    for kind, stem in _PATTERN_FILES:
-        name = f"{stem}.{args.format}"
-        written = wavefield.export_grid(patterns[kind], os.path.join(out, name),
-                                        fmt=args.format)
+    for kind, pattern in patterns.items():
+        name = f"wavefield_{kind.name.lower()}.{args.format}"
+        written = wavefield.export_grid(pattern, os.path.join(out, name), fmt=args.format)
         outputs.extend(os.path.basename(p) for p in written)
     parameters = {
         "grid": list(args.grid),
         "extent": list(wavefield.DEFAULT_EXTENT),
         "format": args.format,
-        "amplitude_a": config.amplitude_a,
-        "amplitude_b": config.amplitude_b,
-        "sigma_ax": config.sigma_ax,
-        "sigma_ay": config.sigma_ay,
-        "sigma_bx": config.sigma_bx,
-        "sigma_by": config.sigma_by,
-        "center_b": list(config.center_b),
-        "positions": [[float(x), float(y)] for x, y in config.positions],
-        "polynomial": {
-            "terms": [[mx, my, coef] for mx, my, coef in poly.terms],
-            "fallback_used": poly.fallback_used,
-        },
+        **dataclasses.asdict(config),
+        "positions": config.positions.tolist(),
+        "polynomial": dataclasses.asdict(poly),
         "sign_source": model.sign_source,
         "clamp_count": sup.clamp_count,
         "residuals": residuals,

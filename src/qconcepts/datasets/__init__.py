@@ -142,7 +142,7 @@ def read_bytes(path) -> bytes:
 
 def _read_text(path):
     try:
-        return read_bytes(path).decode("utf-8")
+        return read_bytes(path).decode("utf-8-sig")     # a leading BOM is skipped
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
+from .hilbert import ALGEBRAIC_TOL
 
 # probability tables come from small-sample surveys; row sums may miss 1 by
 # a rounding residue, tolerated up to this slack
@@ -108,6 +109,8 @@ def chsh_statistic(tables) -> CHSHResult:
     """s = E(A',B') + E(A',B) + E(A,B') - E(A,B), classified against 2 and 2*sqrt(2).
 
     ``tables`` holds exactly one table per label of CHSH_BLOCKS, in any order.
+    Both bounds hold within ALGEBRAIC_TOL: a bound met exactly in decimal can
+    be missed by a few ulps of the float sum.
     """
     by_label = {}
     for t in tables:
@@ -122,9 +125,9 @@ def chsh_statistic(tables) -> CHSHResult:
         raise ModelError(f"unexpected coincidence blocks: {', '.join(extra)}")
     e = {b: expectation_value(by_label[b]) for b in CHSH_BLOCKS}
     s = e["A'B'"] + e["A'B"] + e["AB'"] - e["AB"]
-    if abs(s) <= 2.0:
+    if abs(s) <= 2.0 + ALGEBRAIC_TOL:
         cls = CHSHClass.CLASSICAL
-    elif abs(s) <= tsirelson_bound():
+    elif abs(s) <= tsirelson_bound() + ALGEBRAIC_TOL:
         cls = CHSHClass.QUANTUM_VIOLATION
     else:
         cls = CHSHClass.BEYOND_QUANTUM

@@ -17,7 +17,6 @@ Angles are radians internally; degrees appear only at I/O boundaries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,21 +48,17 @@ def _sector1(mu_a, mu_b, beta):
 
 
 def fock_conjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights) -> float:
-    """Predicted conjunction weight; warns (non-fatally) if outside [0, 1]."""
+    """Predicted conjunction weight, returned as computed even outside [0, 1]."""
     check_unit_interval((("muA", mu_a), ("muB", mu_b)))
     value = weights.m_sq * mu_a * mu_b + weights.n_sq * _sector1(mu_a, mu_b, beta)
-    if not (0.0 <= value <= 1.0):
-        warnings.warn(f"conjunction prediction outside [0, 1]: {value!r}", stacklevel=2)
     return float(value)
 
 
 def fock_disjunction(mu_a: float, mu_b: float, beta: float, weights: FockWeights) -> float:
-    """Predicted disjunction weight; warns (non-fatally) if outside [0, 1]."""
+    """Predicted disjunction weight, returned as computed even outside [0, 1]."""
     check_unit_interval((("muA", mu_a), ("muB", mu_b)))
     sector2 = mu_a + mu_b - mu_a * mu_b
     value = weights.m_sq * sector2 + weights.n_sq * _sector1(mu_a, mu_b, beta)
-    if not (0.0 <= value <= 1.0):
-        warnings.warn(f"disjunction prediction outside [0, 1]: {value!r}", stacklevel=2)
     return float(value)
 
 

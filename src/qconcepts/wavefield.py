@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import itertools
 import json
 import os
 import tempfile
@@ -514,15 +515,10 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial, grid=DEFA
                 int(np.count_nonzero(sup < cla)))
 
     clamps, above, below = (sum(c) for c in zip(*_map_blocks(block, nx, ny, scratch=3)))
-    return {
-        GridKind.INTENSITY_A: GridPattern(nx, ny, ext, i_a, GridKind.INTENSITY_A),
-        GridKind.INTENSITY_B: GridPattern(nx, ny, ext, i_b, GridKind.INTENSITY_B),
-        GridKind.SUPERPOSED: GridPattern(nx, ny, ext, superposed, GridKind.SUPERPOSED,
-                                         clamp_count=clamps, constructive_count=above,
-                                         destructive_count=below),
-        GridKind.CLASSICAL_AVERAGE: GridPattern(nx, ny, ext, classical,
-                                                GridKind.CLASSICAL_AVERAGE),
-    }
+    census = {GridKind.SUPERPOSED: dict(clamp_count=clamps, constructive_count=above,
+                                        destructive_count=below)}
+    return {kind: GridPattern(nx, ny, ext, values, kind, **census.get(kind, {}))
+            for kind, values in zip(GridKind, (i_a, i_b, superposed, classical))}
 
 
 def atomic_write(path, chunks):
@@ -567,10 +563,9 @@ def export_grid(pattern: GridPattern, path: str, fmt: str):
         # %-format of its values ('%.9g' writes what '{:.9g}' does)
         xcol = [f"{x:.9g}," for x in xs.tolist()]
         pieces = xcol[:1] + [f"%.9g\n{x}" for x in xcol[1:]] + ["%.9g\n"]
-        lines = ["x,y,value\n"]
-        for y, row in zip(ys.tolist(), pattern.values):
-            lines.append(f"{y:.9g},".join(pieces) % tuple(row.tolist()))
-        atomic_write(path, ["".join(lines).encode()])
+        rows = (f"{y:.9g},".join(pieces) % tuple(row.tolist())
+                for y, row in zip(ys.tolist(), pattern.values))
+        atomic_write(path, map(str.encode, itertools.chain(["x,y,value\n"], rows)))
         return [path]
     if fmt == "pgm":
         values = pattern.values

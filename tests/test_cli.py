@@ -31,6 +31,14 @@ AB',48,2,24,7
 A'B',12,7,8,54
 """
 
+LOCAL_BOUND_CSV = """\
+experiment,outcome11,outcome12,outcome21,outcome22
+AB,0.18,0.19,0.13,0.5
+A'B,0.66,0.12,0,0.22
+AB',0.09,0.01,0.16,0.74
+A'B',0.44,0.03,0,0.53
+"""
+
 MEMBERSHIP_CSV = """\
 exemplar,conceptA,conceptB,muA,muB,muJoint,connective
 Mint,Food,Plant,0.87,0.81,0.9,and
@@ -157,6 +165,19 @@ def test_classicality_accepts_input_file(run_cli_json, tmp_path):
     assert mint["delta"] == pytest.approx(0.09, abs=1e-12)
     manifest = json.loads((tmp_path / "out" / "classicality_manifest.json").read_text())
     assert str(path) in manifest["inputs"]
+
+
+def test_classicality_skips_a_byte_order_mark_and_hashes_the_bytes_read(run_cli_json,
+                                                                         tmp_path):
+    path = tmp_path / "rows.csv"
+    data = b"\xef\xbb\xbf" + MEMBERSHIP_CSV.encode()
+    path.write_bytes(data)
+    code, payload, err = run_cli_json("classicality", "--input", path,
+                                      "--out-dir", tmp_path / "out")
+    assert code == 0, err
+    assert [r["exemplar"] for r in payload["rows"]] == ["Mint", "Mushroom"]
+    manifest = json.loads((tmp_path / "out" / "classicality_manifest.json").read_text())
+    assert manifest["inputs"] == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
 
 
 CLASSICALITY_HEADER = ["exemplar", "conceptA", "conceptB", "muA", "muB", "muJoint",
@@ -486,6 +507,28 @@ def test_fock_without_c3_realization(run_cli, run_cli_json):
     assert code == 0
     assert payload["c3"] is None
     assert payload["prediction_roundtrip"] == pytest.approx(0.45, abs=1e-12)
+
+
+def test_fock_prediction_outside_the_unit_interval_prints_no_warning(tmp_path):
+    # the round trip lands a few ulps below 0; a fresh process shows anything
+    # Python's default warning filters would print on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(qconcepts.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconcepts.cli", "fock", "--mu-a", "0.01", "--mu-b", "0.01",
+         "--mu-joint", "0", "--connective", "or", "--json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["prediction_roundtrip"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_chsh_tables_at_the_local_bound_are_classical(run_cli_json, tmp_path):
+    # s = 0.94 + 0.76 + 0.66 - 0.36 = 2 in decimal; the float sum is one ulp above
+    path = tmp_path / "boundary.csv"
+    path.write_text(LOCAL_BOUND_CSV)
+    code, payload, _ = run_cli_json("chsh", "--input", path)
+    assert code == 0
+    assert payload["s"] == pytest.approx(2.0, abs=1e-12)
+    assert payload["classification"] == "Classical"
 
 
 def test_chsh_json_payload(run_cli_json):

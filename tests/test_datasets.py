@@ -1,6 +1,7 @@
 """Bundled dataset registry and CSV parsing/validation."""
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -18,7 +19,9 @@ from qconcepts.datasets import (
     dataset_file_bytes,
     dataset_ids,
     list_datasets,
+    load_coincidence_csv,
     load_dataset,
+    load_exemplar_csv,
     load_membership_csv,
     parse_coincidence_csv,
     parse_exemplar_csv,
@@ -179,6 +182,22 @@ def test_parse_exemplar_rejects_nan_phase():
     with pytest.raises(DataError, match="phi") as exc_info:
         parse_exemplar_csv(text)
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_membership_csv, MEMBERSHIP_TEXT),
+    (load_exemplar_csv, EXEMPLAR_TEXT),
+    (load_coincidence_csv, "experiment,outcome11,outcome12,outcome21,outcome22\nAB,4,51,21,5\n"),
+], ids=["membership", "exemplar", "coincidence"])
+def test_a_leading_byte_order_mark_is_skipped(load, text, tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    loaded = [load(plain), load(marked)]
+    if load is load_membership_csv:
+        loaded = list(map(_column_lists, loaded))
+    assert loaded[0] == loaded[1]
 
 
 def test_load_rejects_undecodable_bytes_with_a_data_error(tmp_path):

@@ -100,12 +100,10 @@ def test_cosine_overshoot_within_slack_clamps_to_zero_angle():
     assert beta == 0.0
 
 
-def test_out_of_range_prediction_warns_but_returns():
+def test_out_of_range_prediction_is_returned_as_computed():
     # in-phase predictions never exceed 1, but anti-phase ones can go negative
     w = FockWeights(0.0, 1.0)
-    with pytest.warns(UserWarning):
-        value = fock_conjunction(0.1, 0.1, np.pi, w)
-    assert value == pytest.approx(-0.8, abs=1e-12)
+    assert fock_conjunction(0.1, 0.1, np.pi, w) == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_round_trip_property_both_connectives():

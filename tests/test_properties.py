@@ -5,12 +5,13 @@ no deadline because a shared host's speed varies too much for one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qconcepts.classicality import ZERO_SLACK, conjunction_diagnostics, disjunction_diagnostics
@@ -26,6 +27,7 @@ from qconcepts.datasets import (
     parse_membership_csv,
 )
 from qconcepts.disjunction_model import ExemplarRow, build_model, predict_disjunction
+from qconcepts.entanglement import CHSHClass, CoincidenceTable, chsh_statistic
 from qconcepts.errors import ModelError
 from qconcepts.fock import (
     FockWeights,
@@ -46,7 +48,6 @@ CONNECTIVES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:.*prediction outside")
 @SETTINGS
 @given(connective=st.sampled_from(sorted(CONNECTIVES)), mu_a=st.floats(0.0, 0.99),
        mu_b=st.floats(0.0, 0.99), m2=st.floats(0.0, 0.9), share=unit)
@@ -87,6 +88,32 @@ def test_disjunction_is_classical_exactly_inside_the_dual_bounds(mu_a, mu_b, mu_
     assume(abs(mu_joint - lower) > BOUNDARY_BAND and abs(mu_joint - upper) > BOUNDARY_BAND)
     report = disjunction_diagnostics(mu_a, mu_b, mu_joint)
     assert report.classical_representable == (lower <= mu_joint <= upper)
+
+
+# ------------------------------------------ CHSH: local strategies are Classical
+
+# local deterministic strategies (a, a', b, b'), each outcome +1 or -1
+ATOMS = list(itertools.product((1, -1), repeat=4))
+# block label -> the positions of its two observables in an atom
+BLOCK_SIDES = {"AB": (0, 2), "A'B": (1, 2), "AB'": (0, 3), "A'B'": (1, 3)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(support=st.lists(st.tuples(st.integers(0, len(ATOMS) - 1),
+                                  st.floats(0.0, 1.0, exclude_min=True)),
+                        min_size=1, max_size=4))
+@example(support=[(0, 0.734375), (0, 0.42864694211521), (2, 0.5)])    # s = 2 + 1 ulp
+def test_tables_of_mixed_local_strategies_are_classical(support):
+    total = math.fsum(w for _, w in support)
+    tables = []
+    for label, (i, j) in BLOCK_SIDES.items():
+        # cells o11, o12, o21, o22: (+1, +1), (+1, -1), (-1, +1), (-1, -1);
+        # a cell's sum can pass 1 by one ulp
+        cells = [min(1.0, math.fsum(w / total for k, w in support
+                                    if (ATOMS[k][i], ATOMS[k][j]) == outcome))
+                 for outcome in itertools.product((1, -1), repeat=2)]
+        tables.append(CoincidenceTable(label, *cells))
+    assert chsh_statistic(tables).classification is CHSHClass.CLASSICAL
 
 
 # ------------------------------------------------ parsers raise only ModelError

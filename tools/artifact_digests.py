@@ -28,6 +28,9 @@ COINCIDENCE_FILES = {       # name -> rows under the experiment header
     "unexpected": [*BLOCKS.items(), ("ZZ", "2,2,2,2"), ("AA", "2,2,2,2")],
     "classical": [(label, ONE) for label in BLOCKS],
     "beyond-quantum": [("AB", "0,0.5,0.5,0"), *((label, ONE) for label in list(BLOCKS)[1:])],
+    # s = 0.94 + 0.76 + 0.66 - 0.36 = 2 in decimal, one ulp above 2 as a float sum
+    "local-bound": [("AB", "0.18,0.19,0.13,0.5"), ("A'B", "0.66,0.12,0,0.22"),
+                    ("AB'", "0.09,0.01,0.16,0.74"), ("A'B'", "0.44,0.03,0,0.53")],
 }
 
 
@@ -45,12 +48,14 @@ def _calls(inputs: Path) -> list:
         ["datasets"],
         ["classicality", "--dataset", "hampton-table3"],
         ["classicality", "--input", str(inputs / "membership.csv")],
+        ["classicality", "--input", str(inputs / "membership-bom.csv")],
         ["classicality", *table2],
         _fock(0.87, 0.81, 0.90, "and"),
         _fock(0.3, 0.4, 0.45, "or"),
         _fock(0, 0.5, 0.4, "or"),
         _fock(0, 0.5, 0.9, "or"),
         _fock(0.87, 0.81, 0.90, "and", "--m2", "1"),
+        _fock(0.01, 0.01, 0, "or"),     # its round trip lands a few ulps below 0
         _fock(0.3, 0.4, 0.45, "xor"),
         ["chsh", "--dataset", "animal-acts-table1"],
         ["chsh", "--dataset", "animal-acts-table1-counts"],
@@ -96,7 +101,9 @@ def main(root: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp, "inputs")
         inputs.mkdir()
-        (inputs / "membership.csv").write_bytes(workloads.membership_csv(1, 2000)[0])
+        membership = workloads.membership_csv(1, 2000)[0]
+        (inputs / "membership.csv").write_bytes(membership)
+        (inputs / "membership-bom.csv").write_bytes(b"\xef\xbb\xbf" + membership)
         (inputs / "exemplars.csv").write_bytes(workloads.exemplar_csv(1)[0])
         for name, rows in COINCIDENCE_FILES.items():
             (inputs / f"{name}.csv").write_text(
