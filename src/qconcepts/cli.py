@@ -348,17 +348,17 @@ def _cmd_disjunction_model(args, argv) -> int:
     model = disjunction_model.build_model(rows)
     predictions = [disjunction_model.predict_disjunction(model, k)
                    for k in range(1, len(rows) + 1)]
-    errors = [abs(p - r.mu_a_or_b) for p, r in zip(predictions, model.rows)]
-    phi_deg = [_deg_json(phase) for phase in model.phases]
+    errors = np.abs(np.array(predictions) - rows.mu_a_or_b)
+    # per phase, the value _deg_json gives
+    phi_deg = [round(d, 4) for d in np.degrees(model.phases).tolist()]
     rows_json = _json_rows({
-        "index": [str(r.index) for r in model.rows],
-        "name": _encode_names([r.name for r in model.rows], _encode_str)[0],
-        "muA": _json_float_column([r.mu_a for r in model.rows]),
-        "muB": _json_float_column([r.mu_b for r in model.rows]),
-        "muAorB": _json_float_column([r.mu_a_or_b for r in model.rows]),
-        # supplied for every row or for none (build_model enforces it)
-        "phi_deg_supplied": (_json_float_column([r.phi_deg for r in model.rows])
-                             if model.sign_source == "supplied" else ["null"] * len(rows)),
+        "index": list(map(str, rows.index)),
+        "name": _encode_names(rows.name, _encode_str)[0],
+        "muA": _json_float_column(rows.mu_a),
+        "muB": _json_float_column(rows.mu_b),
+        "muAorB": _json_float_column(rows.mu_a_or_b),
+        "phi_deg_supplied": (["null"] * len(rows) if rows.phi_deg is None
+                             else _json_float_column(rows.phi_deg)),
         "phi_deg": _json_float_column(phi_deg),
         "prediction": _json_float_column(predictions),
         "abs_error": _json_float_column(errors),
@@ -370,9 +370,9 @@ def _cmd_disjunction_model(args, argv) -> int:
         "orthogonality_residual": disjunction_model.orthogonality_residual(model),
         "norm_deviation_a": model.norm_deviation_a,
         "norm_deviation_b": model.norm_deviation_b,
-        "max_abs_prediction_error": max(errors),
+        "max_abs_prediction_error": float(errors.max()),
     }
-    encoded = {"rows": rows_json, "c": _json_list(["1.0"] * len(model.rows))}
+    encoded = {"rows": rows_json, "c": _json_list(["1.0"] * len(rows))}
     if args.emit_vectors:
         # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
         pair = "[\n    %s,\n    %s\n  ]"
@@ -387,9 +387,10 @@ def _cmd_disjunction_model(args, argv) -> int:
                f" (imaginary residual {_sig(model.sign_residual)})")
         yield f"orthogonality residual |<A|B>|: {_sig(payload['orthogonality_residual'])}"
         yield f"max |prediction - muAorB|: {_sig(payload['max_abs_prediction_error'])}"
-        for r, phi, pred in zip(model.rows, phi_deg, predictions):
-            yield (f"  {r.index:>3} {r.name:<14} phi {phi:>9.2f} deg"
-                   f"  predicted {_sig(pred):>9}  observed {_sig(r.mu_a_or_b)}")
+        for index, name, phi, pred, observed in zip(rows.index, rows.name, phi_deg, predictions,
+                                                    rows.mu_a_or_b.tolist()):
+            yield (f"  {index:>3} {name:<14} phi {phi:>9.2f} deg"
+                   f"  predicted {_sig(pred):>9}  observed {_sig(observed)}")
 
     _emit(args, payload, human(), encoded=encoded)
     return 0
@@ -417,15 +418,12 @@ def _cmd_wavefield(args, argv) -> int:
 
     px, py = config.positions[:, 0], config.positions[:, 1]
     i_a, i_b, superposed, _ = wavefield.evaluate_at(config, poly, config.positions)
-    mu_a = np.array([r.mu_a for r in rows])
-    mu_b = np.array([r.mu_b for r in rows])
-    mu_or = np.array([r.mu_a_or_b for r in rows])
     sup = patterns[wavefield.GridKind.SUPERPOSED]
     residuals = {
-        "placement_a": float(np.max(np.abs(i_a - mu_a))),
-        "placement_b": float(np.max(np.abs(i_b - mu_b))),
+        "placement_a": float(np.max(np.abs(i_a - rows.mu_a))),
+        "placement_b": float(np.max(np.abs(i_b - rows.mu_b))),
         "phase_fit": float(np.max(np.abs(poly.evaluate(px, py) - model.phases))),
-        "superposed_vs_observed": float(np.max(np.abs(superposed - mu_or))),
+        "superposed_vs_observed": float(np.max(np.abs(superposed - rows.mu_a_or_b))),
         "constructive_pixels": sup.constructive_count,
         "destructive_pixels": sup.destructive_count,
     }

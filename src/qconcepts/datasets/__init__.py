@@ -13,8 +13,8 @@ Every CSV parses through one row loop that checks the header and the field
 count and gives each ``DataError`` the 1-based line number (and, where one
 is at fault, the column) of the offending row. Exemplar and coincidence
 rows are validated through the owning module's types, so a dataset that
-loads has already passed the model invariants. A membership table loads as
-``MembershipColumns``: a plain table splits on commas in one pass and its
+loads has already passed the model invariants. Membership and exemplar
+tables load as columns: a plain table splits on commas in one pass and its
 weights parse straight into float arrays; any other text goes through the
 row loop, which gives the same columns or the error.
 """
@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from ..classicality import CONNECTIVES
-from ..disjunction_model import ExemplarRow
+from ..disjunction_model import ExemplarColumns, ExemplarRow
 from ..entanglement import DEFAULT_OUTCOME_NAMES, coincidence_from_values
 from ..errors import DataError, ModelError, check_unit_interval
 
@@ -51,14 +51,14 @@ ANIMAL_ACTS_OUTCOMES = {
 class Dataset:
     """A bundled table: identifier, citation, validated rows, and caveats.
 
-    ``rows`` is a ``MembershipColumns`` for a membership table and a tuple
-    of ``ExemplarRow`` or ``CoincidenceTable`` for the other kinds.
+    ``rows`` is a ``MembershipColumns`` or ``ExemplarColumns`` for those
+    kinds and a tuple of ``CoincidenceTable`` for coincidence blocks.
     """
 
     id: str
     provenance: str
     kind: str                 # membership | exemplar | coincidence
-    rows: tuple | MembershipColumns
+    rows: MembershipColumns | ExemplarColumns | tuple
     notes: tuple
 
 
@@ -189,43 +189,53 @@ def _membership_rows(text, source):
                              cols[6])
 
 
-def _membership_fast(text):
-    """The columns of a table with no quote, comment or blank line after its
-    header and exactly 6 commas per row, all values valid; else None.
-
-    The body is split on commas in one pass, and each weight goes through
-    Python's ``float`` as in ``_parse_float`` (numpy's string cast accepts
-    other text). Anything this declines goes to the per-row loop, which
-    gives the same columns or the error.
-    """
-    if '"' in text:
-        return None
+def _comma_table(text, header, build, optional=None):
+    """``build(fields, width)`` over the body fields, in row order, of a table
+    with no quote, a ``header`` (then ``optional``) row, and no comment,
+    blank line or row of another width after it, split on commas in one
+    pass; ValueError for other text. The lines and the joined body stay
+    alive until ``build`` returns: freed before it, they raise glibc's mmap
+    threshold, the columns land on the heap, and a 100k-row classicality
+    call then kept 16 MB more resident memory."""
     lines = text.splitlines()
     for start, raw in enumerate(lines):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             break
     else:
-        return None
-    if [f.strip() for f in lines[start].split(",")] != list(MEMBERSHIP_HEADER):
-        return None
+        raise ValueError("no header row")
+    names = [f.strip() for f in lines[start].split(",")]
     body = lines[start + 1:]
     joined = ",".join(body)
-    if "#" in joined or set(map(str.count, body, repeat(","))) - {6}:
-        return None
-    fields = joined.split(",") if body else []
-    n = len(body)
-    try:
-        mu = [np.fromiter(map(float, fields[i::7]), float, n) for i in (3, 4, 5)]
-    except ValueError:
-        return None
-    if not all(((col >= 0.0) & (col <= 1.0)).all() for col in mu):
-        return None
-    exemplar, concept_a, concept_b, connective = (
-        list(map(str.strip, fields[i::7])) for i in (0, 1, 2, 6))
-    if not set(connective) <= set(CONNECTIVES):
-        return None
-    return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
+    if ('"' in text or names not in (list(header), [*header, optional]) or "#" in joined
+            or set(map(str.count, body, repeat(","))) - {len(names) - 1}):
+        raise ValueError("not a plain table")
+    return build(joined.split(",") if body else [], len(names))
+
+
+def _float_columns(fields, width, columns, lo=0.0, hi=1.0):
+    """``columns`` of a ``_comma_table`` split as float64 arrays, each cell
+    read by ``float`` as ``_parse_float`` reads it (numpy's string cast reads
+    other text); ValueError unless every value lies in [lo, hi]."""
+    cols = [np.fromiter(map(float, fields[i::width]), float, len(fields) // width)
+            for i in columns]
+    if not all(((col >= lo) & (col <= hi)).all() for col in cols):
+        raise ValueError("a value out of range")
+    return cols
+
+
+def _membership_fast(text):
+    """The columns of a plain table (see ``_comma_table``) whose values are
+    all valid; ValueError for any other text."""
+    def build(fields, width):
+        mu = _float_columns(fields, width, (3, 4, 5))
+        exemplar, concept_a, concept_b, connective = (
+            list(map(str.strip, fields[i::width])) for i in (0, 1, 2, 6))
+        if not set(connective) <= set(CONNECTIVES):
+            raise ValueError("unknown connective")
+        return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
+
+    return _comma_table(text, MEMBERSHIP_HEADER, build)
 
 
 def parse_membership_csv(text, source="<membership csv>"):
@@ -235,8 +245,10 @@ def parse_membership_csv(text, source="<membership csv>"):
     the per-row loop, whose ``DataError`` carries the line and, where one
     is at fault, the column.
     """
-    columns = _membership_fast(text)
-    return _membership_rows(text, source) if columns is None else columns
+    try:
+        return _membership_fast(text)
+    except ValueError:
+        return _membership_rows(text, source)
 
 
 def load_membership_csv(path):
@@ -253,12 +265,31 @@ def _exemplar_row(fields, number):
                        number(5) if len(fields) == 6 else None)
 
 
+def _exemplar_fast(text):
+    """The columns of a plain table (see ``_comma_table``) whose values are
+    all valid; ValueError for any other text."""
+    def build(fields, width):
+        mu = _float_columns(fields, width, (2, 3, 4))
+        phi = _float_columns(fields, width, range(5, width), -180.0, 180.0)
+        return ExemplarColumns(list(map(int, fields[::width])),
+                               list(map(str.strip, fields[1::width])), *mu,
+                               phi[0] if phi and fields else None)
+
+    return _comma_table(text, EXEMPLAR_HEADER, build, optional="phi_deg")
+
+
 def parse_exemplar_csv(text, source="<exemplar csv>"):
-    return _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg")
+    """Parse an exemplar-weight CSV (optionally with phases) into validated
+    ``ExemplarColumns``; see ``parse_membership_csv`` for the two paths."""
+    try:
+        return _exemplar_fast(text)
+    except ValueError:
+        return ExemplarColumns.from_rows(
+            _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg"))
 
 
 def load_exemplar_csv(path):
-    """Parse an exemplar-weight CSV (optionally with phases) into validated rows."""
+    """Parse an exemplar-weight CSV file into validated ``ExemplarColumns``."""
     return parse_exemplar_csv(_read_text(path), source=str(path))
 
 
@@ -354,7 +385,7 @@ def load_dataset(dataset_id: str) -> Dataset:
     if connective is not None:
         rows = rows.take([i for i, c in enumerate(rows.connective) if c == connective])
     return Dataset(dataset_id, provenance, kind,
-                   rows if kind == "membership" else tuple(rows), notes)
+                   tuple(rows) if kind == "coincidence" else rows, notes)
 
 
 def list_datasets():

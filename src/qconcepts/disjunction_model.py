@@ -20,7 +20,7 @@ the inner product <A|B>, whose magnitude is reported, not forced to zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -49,6 +49,39 @@ class ExemplarRow:
                             prefix=f"{self.name}: ")
         if self.phi_deg is not None and not (abs(self.phi_deg) <= 180.0):
             raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees")
+
+
+@dataclass(frozen=True, eq=False)
+class ExemplarColumns:
+    """An exemplar table by column: indices as Python ints, names as str,
+    weights and supplied angles (None if absent) as float64 arrays. Item i
+    is row i as an ``ExemplarRow``."""
+
+    index: list
+    name: list
+    mu_a: np.ndarray
+    mu_b: np.ndarray
+    mu_a_or_b: np.ndarray
+    phi_deg: np.ndarray | None
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, i):
+        return ExemplarRow(self.index[i], self.name[i], float(self.mu_a[i]), float(self.mu_b[i]),
+                           float(self.mu_a_or_b[i]),
+                           None if self.phi_deg is None else float(self.phi_deg[i]))
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The columns of ``ExemplarRow``s; columns pass through as they are."""
+        if isinstance(rows, cls):
+            return rows
+        index, name, *mu, phi = [list(col) for col in zip(*map(astuple, rows))] or [[]] * 6
+        if 0 < phi.count(None) < len(phi):
+            raise ModelError("phi must be supplied for all rows or for none")
+        return cls(index, name, *(np.array(col, dtype=float) for col in mu),
+                   np.array(phi, dtype=float) if phi and None not in phi else None)
 
 
 def phase_magnitudes(names, mu_a, mu_b, mu_or) -> np.ndarray:
@@ -110,7 +143,7 @@ def assign_phase_signs(magnitudes, weights):
 class DisjunctionModel:
     """Built model: concept vectors, their superposition, and phase bookkeeping."""
 
-    rows: tuple
+    rows: ExemplarColumns
     vector_a: np.ndarray            # dim n+1, complex
     vector_b: np.ndarray
     phases: np.ndarray              # signed radians actually used
@@ -126,34 +159,31 @@ class DisjunctionModel:
 
 
 def build_model(rows) -> DisjunctionModel:
-    """Construct the explicit model from exemplar rows.
+    """Construct the explicit model from ``ExemplarColumns`` or exemplar rows.
 
     Weight columns must each sum to at most 1 + 0.002 (choose-one data).
     Phase magnitudes are always recomputed from the weights so the model
     inverts the disjunction column exactly; supplied angles contribute their
     sign only. With no supplied angles the sign search takes over.
     """
-    rows = tuple(rows)
-    if not rows:
+    rows = ExemplarColumns.from_rows(rows)
+    if not len(rows):
         raise ModelError("need at least one exemplar row")
-    mu_a, mu_b, mu_or = np.array([(r.mu_a, r.mu_b, r.mu_a_or_b) for r in rows]).T.copy()
+    mu_a, mu_b, mu_or = rows.mu_a, rows.mu_b, rows.mu_a_or_b
     for label, col in (("muA", mu_a), ("muB", mu_b)):
         if col.sum() > 1.0 + COLUMN_SUM_SLACK:
             raise ModelError(
                 f"{label} column sums to {float(col.sum())!r}; not a choose-one experiment"
             )
-    mags = phase_magnitudes([r.name for r in rows], mu_a, mu_b, mu_or)
+    mags = phase_magnitudes(rows.name, mu_a, mu_b, mu_or)
     w = np.sqrt(mu_a * mu_b)
 
-    supplied = [r.phi_deg is not None for r in rows]
-    if all(supplied):
-        signs = np.array([1.0 if r.phi_deg >= 0 else -1.0 for r in rows])
-        source = "supplied"
-    elif not any(supplied):
+    if rows.phi_deg is None:
         signs = assign_phase_signs(mags, w)[0]
         source = "search"
     else:
-        raise ModelError("phi must be supplied for all rows or for none")
+        signs = np.where(rows.phi_deg >= 0, 1.0, -1.0)
+        source = "supplied"
     phases = signs * mags
     sign_residual = abs(float(np.sum(w * np.sin(phases))))
 

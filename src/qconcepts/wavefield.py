@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .disjunction_model import ExemplarColumns
 from .errors import ModelError, PlacementError
 
 INTENSITY_TOL = 1e-9        # log-space agreement required at placed points
@@ -237,8 +238,9 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     step; each side of the extremum is then bisected.
     The first row in input order that cannot be placed raises.
     """
-    la = _log_ratios(config.amplitude_a, [r.mu_a for r in rows], "muA")
-    lb = _log_ratios(config.amplitude_b, [r.mu_b for r in rows], "muB")
+    rows = ExemplarColumns.from_rows(rows)
+    la = _log_ratios(config.amplitude_a, rows.mu_a, "muA")
+    lb = _log_ratios(config.amplitude_b, rows.mu_b, "muB")
     ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
     ub, vb = 1.0 / (2.0 * config.sigma_bx ** 2), 1.0 / (2.0 * config.sigma_by ** 2)
     a, b = float(config.center_b[0]), float(config.center_b[1])
@@ -284,13 +286,13 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
         roots = np.concatenate((roots, touch[~dip], sides))
     if fail.any():
         first = int(np.flatnonzero(fail)[0])
-        raise PlacementError(f"circles disjoint for exemplar {rows[first].name!r}: "
+        raise PlacementError(f"circles disjoint for exemplar {rows.name[first]!r}: "
                              + _MISSES[fail[first]])
 
     # each row keeps one point: odd rows the largest y (first in t order
     # among ties), even rows the smallest y (last among ties)
     x, y = _curve_point(p[k], q[k], roots)
-    odd = np.array([row.index % 2 == 1 for row in rows])[k]
+    odd = np.array([index % 2 == 1 for index in rows.index])[k]
     n = np.arange(k.size)
     order = np.lexsort((np.where(odd, n, -n), np.where(odd, -y, y), k))
     pick = order[np.unique(k[order], return_index=True)[1]]
@@ -309,8 +311,8 @@ def _fit_widths(rows):
     robustly. Fully circular B is infeasible for data whose mid-weight rows
     have short level-curve radii, hence the free axis.
     """
-    mu_a = np.array([r.mu_a for r in rows])
-    mu_b = np.array([r.mu_b for r in rows])
+    rows = ExemplarColumns.from_rows(rows)
+    mu_a, mu_b = rows.mu_a, rows.mu_b
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
     if ia == ib:
         raise PlacementError("width fit needs distinct peak rows for the two concepts")
@@ -369,11 +371,11 @@ def _fit_widths(rows):
 def default_config(rows) -> WaveFieldConfig:
     """Fit widths to the data with B centred at CENTER_B, place all
     exemplars, and return the full config."""
-    rows = tuple(rows)
+    rows = ExemplarColumns.from_rows(rows)
     sigma_a, sigma_bx, sigma_by, ia, ib = _fit_widths(rows)
     config = WaveFieldConfig(
-        amplitude_a=float(max(r.mu_a for r in rows)),
-        amplitude_b=float(max(r.mu_b for r in rows)),
+        amplitude_a=float(rows.mu_a.max()),
+        amplitude_b=float(rows.mu_b.max()),
         sigma_ax=float(sigma_a), sigma_ay=float(sigma_a),
         sigma_bx=float(sigma_bx), sigma_by=float(sigma_by),
         center_b=CENTER_B,

@@ -425,6 +425,14 @@ def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert len(payload["rows"]) == n_rows
+    # each row's angle and error as one phase and one prediction give them
+    table = (datasets.load_exemplar_csv(args[1]) if args[0] == "--input"
+             else datasets.load_dataset(args[1]).rows)
+    phases = disjunction_model.build_model(table).phases
+    rows = payload["rows"]
+    assert [r["phi_deg"] for r in rows] == [cli._deg_json(phase) for phase in phases]
+    assert [r["abs_error"] for r in rows] == [abs(r["prediction"] - r["muAorB"]) for r in rows]
+    assert payload["max_abs_prediction_error"] == max(r["abs_error"] for r in rows)
     if source.startswith("vectors-"):
         vectors = {label: [[z.real, z.imag] for z in vec.tolist()]
                    for label, vec in (("A", built[0].vector_a), ("B", built[0].vector_b))}
@@ -622,6 +630,44 @@ def test_disjunction_model_emit_vectors(run_cli_json):
         assert all(len(pair) == 2 for pair in vec)
     # vector A is real throughout
     assert all(pair[1] == 0.0 for pair in payload["vectors"]["A"])
+
+
+def test_disjunction_model_prints_any_integer_index_verbatim(run_cli, tmp_path):
+    # Python ints throughout: 10**20 is beyond int64
+    path = tmp_path / "x.csv"
+    path.write_text("index,name,muA,muB,muAorB\n"
+                    "100000000000000000000,X,0.3,0.2,0.3\n-3,Y,0.25,0.3,0.2\n")
+    code, out, err = run_cli("disjunction-model", "--input", path, "--json")
+    assert code == 0 and err == ""
+    assert [r["index"] for r in json.loads(out)["rows"]] == [10 ** 20, -3]
+    assert '"index": 100000000000000000000,' in out and '"index": -3,' in out
+    code, out, err = run_cli("disjunction-model", "--input", path)
+    assert code == 0 and err == ""
+    assert [line.split()[0] for line in out.splitlines()[4:]] == ["100000000000000000000", "-3"]
+
+
+def _table2_without_comments(tmp_path):
+    """Table 2's file with its comment lines dropped: a plain comma table."""
+    text = datasets.dataset_file_bytes("fruits-vegetables-table2").decode("utf-8")
+    path = tmp_path / "table2.csv"
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if not line.startswith("#")), encoding="utf-8")
+    return path
+
+
+def test_a_plain_table2_input_gives_the_bundled_outputs(run_cli, tmp_path):
+    path = _table2_without_comments(tmp_path)
+    runs = {}
+    for source in (("--input", path), ("--dataset", "fruits-vegetables-table2")):
+        code, out, err = run_cli("disjunction-model", *source, "--json", "--emit-vectors")
+        assert code == 0 and err == ""
+        out_dir = tmp_path / source[0].strip("-")
+        code, _, err = run_cli("wavefield", *source, "--grid", "64x48", "--format", "csv",
+                               "--out-dir", out_dir, "--json")
+        assert code == 0 and err == ""
+        runs[source[0]] = out, {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+    assert len(runs["--input"][1]) == 4
+    assert runs["--input"] == runs["--dataset"]
 
 
 def test_wavefield_pgm_run(run_cli_json, tmp_path):

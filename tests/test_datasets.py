@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 
 from qconcepts.datasets import (
     ANIMAL_ACTS_OUTCOMES,
+    EXEMPLAR_HEADER,
     MEMBERSHIP_HEADER,
+    _exemplar_fast,
+    _exemplar_row,
     _iter_csv_rows,
     _membership_fast,
     _membership_rows,
+    _table,
     dataset_file_bytes,
     dataset_ids,
     list_datasets,
@@ -27,6 +31,7 @@ from qconcepts.datasets import (
     parse_exemplar_csv,
     parse_membership_csv,
 )
+from qconcepts.disjunction_model import ExemplarColumns
 from qconcepts.errors import DataError
 
 MEMBERSHIP_TEXT = """\
@@ -197,6 +202,8 @@ def test_a_leading_byte_order_mark_is_skipped(load, text, tmp_path):
     loaded = [load(plain), load(marked)]
     if load is load_membership_csv:
         loaded = list(map(_column_lists, loaded))
+    elif load is load_exemplar_csv:
+        loaded = list(map(_exemplar_lists, loaded))
     assert loaded[0] == loaded[1]
 
 
@@ -402,13 +409,14 @@ def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest():
     header = ",".join(MEMBERSHIP_HEADER)
     plain = f"# note\n\n{header}\nMint,Food,Plant,0.87,0.81,0.9,and\n A ,B,C,-0.0, 1e-05 ,0,or\n"
     cols = _membership_fast(plain)
-    assert cols is not None and len(cols) == 2
+    assert len(cols) == 2
     assert cols.exemplar == ["Mint", "A"] and cols.mu_a[1].hex() == "-0x0.0p+0"
-    assert _membership_fast(header) is not None
+    assert len(_membership_fast(header)) == 0
     for body in ('"Mint",Food,Plant,0.87,0.81,0.9,and', "Mint,Food,Plant,0.87,0.81,0.9,and\n#",
                  "Mint,Food,Plant,0.87,0.81,and\nA,B,C,0.5,0.5,0.5,or,x",
                  "Mint,Food,Plant,1_0,0.81,0.9,and", "Mint,Food,Plant,0.87,0.81,0.9\x00,and"):
-        assert _membership_fast(f"{header}\n{body}\n") is None
+        with pytest.raises(ValueError):
+            _membership_fast(f"{header}\n{body}\n")
 
 
 def test_membership_dataset_columns_match_the_per_row_loop():
@@ -418,3 +426,102 @@ def test_membership_dataset_columns_match_the_per_row_loop():
                        ("hampton-table3-conjunction", ("and",))):
         assert _column_lists(load_dataset(view).rows) == \
             _column_lists([r for r in rows if r[6] in keep])
+
+
+# ------------------------------------- columnar exemplar parse against the row loop
+
+def _exemplar_lists(cols):
+    """Indices, names, then each weight column and phi_deg (None if absent)
+    as float.hex, of ``ExemplarColumns``."""
+    assert all(type(i) is int for i in cols.index)
+    floats = [cols.mu_a, cols.mu_b, cols.mu_a_or_b] + (
+        [] if cols.phi_deg is None else [cols.phi_deg])
+    assert all(col.dtype == float and col.shape == (len(cols),) for col in floats)
+    hexes = [[v.hex() for v in col.tolist()] for col in floats]
+    return [cols.index, cols.name, *hexes[:3], hexes[3] if hexes[3:] else None]
+
+
+def _exemplar_rows(text, source):
+    """The per-row loop alone: every row through ``_exemplar_row``, then ``from_rows``."""
+    return ExemplarColumns.from_rows(
+        _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg"))
+
+
+def _exemplar_or_error(parse, text):
+    """The parsed columns as ``_exemplar_lists``, or the error's message, line and column."""
+    try:
+        return _exemplar_lists(parse(text, "t.csv"))
+    except DataError as exc:
+        return str(exc), exc.line, exc.column
+
+
+_EXEMPLAR_HEADERS = (",".join(EXEMPLAR_HEADER), ",".join(EXEMPLAR_HEADER) + ",phi_deg")
+# indices int() takes: signs, padding, other digits, underscores, beyond int64
+_valid_indices = st.sampled_from(["1", "2", "-3", "+3", "0", " 7 ", "\u00a08", "٣", "1_0",
+                                  "100000000000000000000"])
+_valid_angles = st.one_of(
+    st.sampled_from(["-180", "180", "-0.0", "83.8854", "5e-324", " -90.5 ", "1_8"]),
+    st.floats(-180.0, 180.0).map(repr))
+_exemplar_names = st.sampled_from(["Almond", "Root Ginger", " padded\t", "é日☃", "", "x0001"])
+# cells some column rejects: non-finite, out of range, not a number, a float
+# index, quoting, a comment sign
+_bad_exemplar_cells = st.sampled_from(["nan", "inf", "-inf", "1e309", "1.5", "-0.2", "180.5",
+                                       "-181", "x", "", "1.0", "1e3", "0.5\x00", '"q"', '"open',
+                                       "a#b", "٣.٥"])
+
+
+@st.composite
+def _exemplar_text(draw):
+    """A valid table with or without phi_deg, the same with a cell or line
+    spoiled, or fuzzed text."""
+    mode = draw(st.sampled_from(["plain", "spoiled", "fuzzed"]))
+    width = draw(st.sampled_from([5, 6]))
+    weight = st.one_of(_valid_weights, _valid_weights, _bad_exemplar_cells)
+    if mode == "fuzzed":
+        header = draw(st.sampled_from([*_EXEMPLAR_HEADERS, " " + _EXEMPLAR_HEADERS[1],
+                                       "# note\n" + _EXEMPLAR_HEADERS[0],
+                                       ",".join(EXEMPLAR_HEADER[:4]), ""]))
+        cell = st.one_of(_valid_indices, _exemplar_names, weight, _valid_angles)
+        row = st.lists(cell, min_size=4, max_size=7).map(",".join)
+        lines = [header, *draw(st.lists(st.one_of(row, row, _odd_lines), max_size=8))]
+        return "".join(line + draw(_breaks) for line in lines)
+    cells = [_valid_indices, _exemplar_names, _valid_weights, _valid_weights, _valid_weights,
+             _valid_angles][:width]
+    rows = draw(st.lists(st.tuples(*cells).map(list), min_size=mode == "spoiled", max_size=8))
+    lines = [",".join(row) for row in rows]
+    if mode == "spoiled":
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i][draw(st.integers(0, width - 1))] = draw(_bad_exemplar_cells)
+            lines[i] = ",".join(rows[i])
+        else:
+            lines.insert(i, draw(st.one_of(_odd_lines, st.sampled_from(
+                ["1,A,0.5,0.5", "1,A,0.5,0.5,0.5,10,x", "1,A,0.5,0.5,0.5,10"]))))
+    return "".join(line + draw(_breaks) for line in [_EXEMPLAR_HEADERS[width == 6], *lines])
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(text=_exemplar_text())
+# a 5-field row then a 7-field one under the 6-field header: 12 fields in all
+@example(text=_EXEMPLAR_HEADERS[1] + "\n1,A,0.5,0.5,0.5\n2,B,0.5,0.5,0.5,10,x\n")
+@example(text=_EXEMPLAR_HEADERS[1] + "\n-3,A,-0.0,5e-324,1e-05,-0.0\n+3,B,1,0,0.5,-180\n")
+@example(text=_EXEMPLAR_HEADERS[1] + "\n1,A,0.5,0.5,0.5,nan\n")
+@example(text=_EXEMPLAR_HEADERS[1] + "\n1,A,0.5,0.5,0.5,-180.00000000000003\n")
+@example(text=_EXEMPLAR_HEADERS[1] + "\n")
+def test_columnar_exemplar_parse_matches_the_per_row_loop(text):
+    want = _exemplar_or_error(_exemplar_rows, text)
+    assert _exemplar_or_error(parse_exemplar_csv, text) == want
+
+
+def test_exemplar_fast_path_takes_plain_tables_and_declines_the_rest():
+    table2 = dataset_file_bytes("fruits-vegetables-table2").decode("utf-8")
+    cols = _exemplar_fast(table2)
+    assert len(cols) == 24 and cols.phi_deg[7] == 87.6039
+    assert _exemplar_lists(cols) == _exemplar_lists(_exemplar_rows(table2, "t.csv"))
+    # as the benchmark writes them: full-precision weights and no phi_deg column
+    plain = _EXEMPLAR_HEADERS[0] + "\n" + "".join(
+        f"{k},x{k:04d},{0.1 / k!r},{0.2 / k!r},{0.15 / k!r}\n" for k in range(1, 6))
+    cols = _exemplar_fast(plain)
+    assert cols.index == [1, 2, 3, 4, 5] and cols.phi_deg is None
+    with pytest.raises(ValueError):
+        _exemplar_fast(plain.replace("x0002", '"x0002"'))

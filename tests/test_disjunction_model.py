@@ -319,6 +319,15 @@ def test_predict_index_bounds(table2_rows):
         predict_disjunction(model, 25)
 
 
+def test_a_zero_supplied_angle_takes_the_positive_sign():
+    rows = [
+        ExemplarRow(1, "X", 0.3, 0.2, 0.3, phi_deg=0.0),
+        ExemplarRow(2, "Y", 0.25, 0.3, 0.2, phi_deg=-0.0),
+    ]
+    model = build_model(rows)
+    assert model.sign_source == "supplied" and (model.phases > 0).all()
+
+
 def test_supplied_angles_contribute_sign_only():
     # magnitudes always come from the weights; a wrong supplied magnitude
     # with the right sign yields the same model

@@ -12,7 +12,7 @@ import pytest
 
 from qconcepts import wavefield
 from qconcepts.datasets import load_dataset
-from qconcepts.disjunction_model import ExemplarRow, build_model
+from qconcepts.disjunction_model import ExemplarColumns, ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
     CENTER_B,
@@ -131,6 +131,16 @@ def test_placement_parity_alternates_sides():
     y_mag = float(np.sqrt(1.0 - 0.75 ** 2))
     assert pos[0] == pytest.approx((0.75, y_mag), abs=1e-6)
     assert pos[1] == pytest.approx((0.75, -y_mag), abs=1e-6)
+
+
+@pytest.mark.parametrize("odd, even", [(-3, 10 ** 20), (10 ** 20 + 1, -4)])
+def test_placement_parity_holds_for_negative_and_huge_indices(odd, even):
+    # the same crossings as above; indices are Python ints, beyond int64 too
+    rows = [ExemplarRow(odd, "Up", E1, E1, 0.3), ExemplarRow(even, "Down", E1, E1, 0.3)]
+    want = place_exemplars([ExemplarRow(1, "Up", E1, E1, 0.3),
+                            ExemplarRow(2, "Down", E1, E1, 0.3)], _circular_config())
+    for table in (rows, ExemplarColumns.from_rows(rows)):
+        assert place_exemplars(table, _circular_config()).tobytes() == want.tobytes()
 
 
 def test_placement_ties_in_y_follow_the_parity_rule():

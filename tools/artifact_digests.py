@@ -3,8 +3,9 @@
     python tools/artifact_digests.py ROOT
 
 Imports ``qconcepts`` from ROOT/src and runs each call below in-process, once
-as listed and once with ``--json``, in a fresh working directory. Each run
-prints one line: its argv, its exit code, and the sha256 of its stdout, its
+as listed and once with ``--json``, in a fresh working directory and with
+every warning shown, as a fresh process would show it. Each run prints one
+line: its argv, its exit code, and the sha256 of its stdout, its
 stderr and every file it wrote, with the temporary directory's path replaced
 by ``<tmp>`` before hashing. The inputs come from this checkout's perfbench
 generators at fixed seeds, so running this script on two checkouts and
@@ -18,7 +19,10 @@ import io
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 BLOCKS = {"AB": "4,51,21,5", "A'B": "63,7,7,4", "AB'": "48,2,24,7", "A'B'": "12,7,8,54"}
 ONE = "0.5,0,0,0.5"         # E = 1
@@ -63,8 +67,11 @@ def _calls(inputs: Path) -> list:
         ["disjunction-model", *table2],
         ["disjunction-model", *table2, "--emit-vectors"],
         ["disjunction-model", "--input", str(inputs / "exemplars.csv"), "--emit-vectors"],
+        ["disjunction-model", "--input", str(inputs / "exemplars-phi.csv")],
         ["wavefield", *table2],
         ["wavefield", *table2, "--grid", "64x48", "--format", "csv"],
+        ["wavefield", "--input", str(inputs / "table2-plain.csv"), "--grid", "64x48",
+         "--format", "csv"],
     ]
 
 
@@ -75,7 +82,10 @@ def _sha(data: bytes, tmp: str) -> str:
 def _run(cli, argv: list, cwd: Path, tmp: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     os.chdir(cwd)
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # every warning shows in every run, as it would in a fresh process
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:       # --help and usage errors
@@ -90,7 +100,7 @@ def _run(cli, argv: list, cwd: Path, tmp: str) -> str:
 def main(root: str) -> None:
     src = Path(root).resolve() / "src"
     sys.path.insert(0, str(src))
-    from qconcepts import cli
+    from qconcepts import cli, datasets
     assert Path(cli.__file__).resolve().is_relative_to(src), f"qconcepts from {cli.__file__}"
     sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
@@ -105,6 +115,15 @@ def main(root: str) -> None:
         (inputs / "membership.csv").write_bytes(membership)
         (inputs / "membership-bom.csv").write_bytes(b"\xef\xbb\xbf" + membership)
         (inputs / "exemplars.csv").write_bytes(workloads.exemplar_csv(1)[0])
+        # the same kind of table with a seeded signed angle on every row
+        lines = workloads.exemplar_csv(2)[0].decode().splitlines()
+        angles = np.random.default_rng(2).uniform(-180.0, 180.0, len(lines) - 1).tolist()
+        (inputs / "exemplars-phi.csv").write_text("".join(
+            f"{line},{phi}\n" for line, phi in zip(lines, ["phi_deg", *angles])))
+        # Table 2 without its comment lines
+        table2 = datasets.dataset_file_bytes("fruits-vegetables-table2").decode()
+        (inputs / "table2-plain.csv").write_text("".join(
+            line for line in table2.splitlines(keepends=True) if not line.startswith("#")))
         for name, rows in COINCIDENCE_FILES.items():
             (inputs / f"{name}.csv").write_text(
                 "experiment,outcome11,outcome12,outcome21,outcome22\n"
