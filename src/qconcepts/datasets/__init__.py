@@ -9,19 +9,18 @@ Three data families ship with the package:
 * ``hampton-table3`` (and per-connective views): Hampton (1988a,b)
   membership weights for exemplars of eight concept pairs.
 
-Every CSV parses through one row loop that checks the header and the field
-count and gives each ``DataError`` the 1-based line number (and, where one
-is at fault, the column) of the offending row. Exemplar and coincidence
-rows are validated through the owning module's types, so a dataset that
-loads has already passed the model invariants. Membership and exemplar
-tables load as columns: a plain table splits on commas in one pass and its
-weights parse straight into float arrays; any other text goes through the
-row loop, which gives the same columns or the error.
+Every CSV goes through one reader. It finds and checks the header row; a
+plain body (no quote, comment or blank line, one field count) splits on
+commas in one pass into columns, and any other body, or one whose values
+fail a check, goes row by row. There each ``DataError`` carries the 1-based
+line number (and, where one is at fault, the column) of the first bad row.
+Membership and exemplar rows are checked through the owning module's
+rules, so a dataset that loads has already passed the model invariants, and
+load as columns with weights in float arrays.
 """
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -62,38 +61,18 @@ class Dataset:
     notes: tuple
 
 
-def _iter_csv_rows(text, source):
-    """Yield (line_number, fields) skipping blank and comment lines.
-
-    Each line is parsed on its own, so a stray quote cannot swallow the
-    next line. A line with no quote character splits on commas exactly as
-    ``csv.reader`` would split it (splitlines leaves no CR or LF inside).
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if '"' in raw:
-            try:
-                fields = next(csv.reader(io.StringIO(raw)))
-            except csv.Error as exc:
-                raise DataError(f"{source}: malformed CSV: {exc}", line=lineno)
-        else:
-            fields = raw.split(",")
-        yield lineno, [f.strip() for f in fields]
-
-
-def _check_header(fields, expected, optional, source, lineno):
-    base = list(expected)
-    if list(fields) == base:
-        return False
-    if optional and list(fields) == base + [optional]:
-        return True
-    raise DataError(
-        f"{source}: expected header {','.join(base)}"
-        + (f"[,{optional}]" if optional else "") + f", got {','.join(fields)}",
-        line=lineno,
-    )
+def _split(raw, source, lineno):
+    """The stripped fields of one line. A line with no quote splits on commas
+    exactly as ``csv.reader`` would split it; a quoted line goes through its
+    own reader, so a stray quote cannot swallow the next line."""
+    if '"' in raw:
+        try:
+            fields = next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise DataError(f"{source}: malformed CSV: {exc}", line=lineno)
+    else:
+        fields = raw.split(",")
+    return [f.strip() for f in fields]
 
 
 def _parse_float(fields, names, idx):
@@ -104,31 +83,63 @@ def _parse_float(fields, names, idx):
                         column=names[idx]) from None
 
 
-def _table(text, source, header, build, optional=None):
-    """The list of ``build(fields, number)`` over the data rows of a CSV table.
+def _table(text, source, header, row, columns=None, optional=None):
+    """The rows of a CSV table: ``columns(fields, width)`` over its body
+    fields in row order, or without ``columns`` the list of ``row`` results.
 
-    The first row must be ``header``, or ``header`` then ``optional``; every
-    later row must have as many fields as it. ``number(i)`` parses field i
-    as a float. A ``ModelError`` from ``build`` becomes a ``DataError`` that
-    carries the line, and the column if the error named one.
+    The first row that is not blank or a ``#`` comment must be ``header``,
+    or ``header`` then ``optional``. A body with no quote, comment or blank
+    line and one comma count throughout splits on commas in one pass. Any
+    other body, or one for which ``columns`` raises ValueError, goes row by
+    row: each row must have the header's width and pass ``row(fields,
+    number)``, where ``number(i)`` parses field i as a float; a
+    ``ModelError`` there becomes a ``DataError`` with the line, and the
+    column if the error named one. ``row`` and ``columns`` check the same
+    things, so once every row passes ``row``, ``columns`` must not raise
+    (a ValueError there would escape the CLI as a traceback).
+
+    The lines and the joined body stay alive until ``columns`` returns:
+    freed before it, they raise glibc's mmap threshold, the columns land on
+    the heap, and a 100k-row classicality call then kept 16 MB more
+    resident memory.
     """
-    rows, names = [], None
-    for lineno, fields in _iter_csv_rows(text, source):
-        if names is None:
-            has_optional = _check_header(fields, header, optional, source, lineno)
-            names = header + ((optional,) if has_optional else ())
+    lines = text.splitlines()
+    for start, raw in enumerate(lines):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            break
+    else:
+        raise DataError(f"{source}: missing header row")
+    names = _split(lines[start], source, start + 1)
+    if names not in (list(header), [*header, optional]):
+        raise DataError(
+            f"{source}: expected header {','.join(header)}"
+            + (f"[,{optional}]" if optional else "") + f", got {','.join(names)}",
+            line=start + 1)
+    width = len(names)
+    body = lines[start + 1:]
+    joined = ",".join(body)
+    if (columns and '"' not in joined and "#" not in joined
+            and set(map(str.count, body, repeat(","))) <= {width - 1}):
+        try:
+            return columns(joined.split(",") if body else [], width)
+        except ValueError:
+            pass
+    rows = []
+    for lineno, raw in enumerate(body, start=start + 2):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        if len(fields) != len(names):
-            raise DataError(f"{source}: expected {len(names)} fields, got {len(fields)}",
+        fields = _split(raw, source, lineno)
+        if len(fields) != width:
+            raise DataError(f"{source}: expected {width} fields, got {len(fields)}",
                             line=lineno)
         try:
-            rows.append(build(fields, partial(_parse_float, fields, names)))
+            rows.append(row(fields, partial(_parse_float, fields, names)))
         except ModelError as exc:
             raise DataError(f"{source}: {exc}", line=lineno,
                             column=getattr(exc, "column", None)) from exc
-    if names is None:
-        raise DataError(f"{source}: missing header row")
-    return rows
+    return rows if columns is None else columns([f for r in rows for f in r], width)
 
 
 def read_bytes(path) -> bytes:
@@ -173,50 +184,10 @@ class MembershipColumns:
                                  pick(self.connective))
 
 
-def _membership_rows(text, source):
-    """The columns of any membership table, one row at a time, or its error."""
-    def row(fields, number):
-        if fields[6] not in CONNECTIVES:
-            raise DataError(f"connective must be one of {CONNECTIVES}, got {fields[6]!r}",
-                            column="connective")
-        mu = [number(i) for i in (3, 4, 5)]
-        check_unit_interval(zip(("muA", "muB", "muJoint"), mu))
-        return (*fields[:3], *mu, fields[6])
-
-    rows = _table(text, source, MEMBERSHIP_HEADER, row)
-    cols = [list(col) for col in zip(*rows)] if rows else [[] for _ in MEMBERSHIP_HEADER]
-    return MembershipColumns(*cols[:3], *(np.array(col, dtype=float) for col in cols[3:6]),
-                             cols[6])
-
-
-def _comma_table(text, header, build, optional=None):
-    """``build(fields, width)`` over the body fields, in row order, of a table
-    with no quote, a ``header`` (then ``optional``) row, and no comment,
-    blank line or row of another width after it, split on commas in one
-    pass; ValueError for other text. The lines and the joined body stay
-    alive until ``build`` returns: freed before it, they raise glibc's mmap
-    threshold, the columns land on the heap, and a 100k-row classicality
-    call then kept 16 MB more resident memory."""
-    lines = text.splitlines()
-    for start, raw in enumerate(lines):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            break
-    else:
-        raise ValueError("no header row")
-    names = [f.strip() for f in lines[start].split(",")]
-    body = lines[start + 1:]
-    joined = ",".join(body)
-    if ('"' in text or names not in (list(header), [*header, optional]) or "#" in joined
-            or set(map(str.count, body, repeat(","))) - {len(names) - 1}):
-        raise ValueError("not a plain table")
-    return build(joined.split(",") if body else [], len(names))
-
-
 def _float_columns(fields, width, columns, lo=0.0, hi=1.0):
-    """``columns`` of a ``_comma_table`` split as float64 arrays, each cell
-    read by ``float`` as ``_parse_float`` reads it (numpy's string cast reads
-    other text); ValueError unless every value lies in [lo, hi]."""
+    """``columns`` of a ``_table`` split as float64 arrays, each cell read by
+    ``float`` as ``_parse_float`` reads it (numpy's string cast reads other
+    text); ValueError unless every value lies in [lo, hi]."""
     cols = [np.fromiter(map(float, fields[i::width]), float, len(fields) // width)
             for i in columns]
     if not all(((col >= lo) & (col <= hi)).all() for col in cols):
@@ -224,31 +195,27 @@ def _float_columns(fields, width, columns, lo=0.0, hi=1.0):
     return cols
 
 
-def _membership_fast(text):
-    """The columns of a plain table (see ``_comma_table``) whose values are
-    all valid; ValueError for any other text."""
-    def build(fields, width):
-        mu = _float_columns(fields, width, (3, 4, 5))
-        exemplar, concept_a, concept_b, connective = (
-            list(map(str.strip, fields[i::width])) for i in (0, 1, 2, 6))
-        if not set(connective) <= set(CONNECTIVES):
-            raise ValueError("unknown connective")
-        return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
+def _membership_row(fields, number):
+    if fields[6] not in CONNECTIVES:
+        raise DataError(f"connective must be one of {CONNECTIVES}, got {fields[6]!r}",
+                        column="connective")
+    check_unit_interval(zip(("muA", "muB", "muJoint"), [number(i) for i in (3, 4, 5)]))
+    return fields
 
-    return _comma_table(text, MEMBERSHIP_HEADER, build)
+
+def _membership_columns(fields, width):
+    mu = _float_columns(fields, width, (3, 4, 5))
+    exemplar, concept_a, concept_b, connective = (
+        list(map(str.strip, fields[i::width])) for i in (0, 1, 2, 6))
+    if not set(connective) <= set(CONNECTIVES):
+        raise ValueError("unknown connective")
+    return MembershipColumns(exemplar, concept_a, concept_b, *mu, connective)
 
 
 def parse_membership_csv(text, source="<membership csv>"):
-    """Parse a membership-weight CSV into validated columns.
-
-    A plain table parses in one comma split; any other text goes through
-    the per-row loop, whose ``DataError`` carries the line and, where one
-    is at fault, the column.
-    """
-    try:
-        return _membership_fast(text)
-    except ValueError:
-        return _membership_rows(text, source)
+    """Parse a membership-weight CSV into validated columns; a ``DataError``
+    carries the line and, where one is at fault, the column."""
+    return _table(text, source, MEMBERSHIP_HEADER, _membership_row, _membership_columns)
 
 
 def load_membership_csv(path):
@@ -261,31 +228,23 @@ def _exemplar_row(fields, number):
         index = int(fields[0])
     except ValueError:
         raise DataError(f"index is not an integer: {fields[0]!r}", column="index") from None
-    return ExemplarRow(index, fields[1], number(2), number(3), number(4),
-                       number(5) if len(fields) == 6 else None)
+    ExemplarRow(index, fields[1], number(2), number(3), number(4),
+                number(5) if len(fields) == 6 else None)
+    return fields
 
 
-def _exemplar_fast(text):
-    """The columns of a plain table (see ``_comma_table``) whose values are
-    all valid; ValueError for any other text."""
-    def build(fields, width):
-        mu = _float_columns(fields, width, (2, 3, 4))
-        phi = _float_columns(fields, width, range(5, width), -180.0, 180.0)
-        return ExemplarColumns(list(map(int, fields[::width])),
-                               list(map(str.strip, fields[1::width])), *mu,
-                               phi[0] if phi and fields else None)
-
-    return _comma_table(text, EXEMPLAR_HEADER, build, optional="phi_deg")
+def _exemplar_columns(fields, width):
+    mu = _float_columns(fields, width, (2, 3, 4))
+    phi = _float_columns(fields, width, range(5, width), -180.0, 180.0)
+    return ExemplarColumns(list(map(int, fields[::width])), list(map(str.strip, fields[1::width])),
+                           *mu, phi[0] if phi and fields else None)
 
 
 def parse_exemplar_csv(text, source="<exemplar csv>"):
     """Parse an exemplar-weight CSV (optionally with phases) into validated
-    ``ExemplarColumns``; see ``parse_membership_csv`` for the two paths."""
-    try:
-        return _exemplar_fast(text)
-    except ValueError:
-        return ExemplarColumns.from_rows(
-            _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg"))
+    ``ExemplarColumns``; see ``parse_membership_csv`` for errors."""
+    return _table(text, source, EXEMPLAR_HEADER, _exemplar_row, _exemplar_columns,
+                  optional="phi_deg")
 
 
 def load_exemplar_csv(path):

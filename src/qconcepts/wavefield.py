@@ -399,9 +399,10 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
     """Interpolate signed phases (radians) over the positions.
 
     Solves the square system on the n lowest monomials (coordinates scaled
-    to unit box for conditioning, coefficients mapped back). A singular or
-    ill-conditioned system falls back to a minimum-norm least squares fit
-    over the max(30, n) lowest monomials, flagged on the result.
+    to unit box for conditioning, coefficients mapped back). For n < 30 a
+    singular or ill-conditioned system falls back to a minimum-norm least
+    squares fit over the 30 lowest monomials, flagged on the result; for
+    n >= 30 those are the square system's own monomials, so the fit fails.
     """
     pos = np.asarray(positions, dtype=float)
     phi = np.asarray(phases, dtype=float)
@@ -428,23 +429,24 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
         )
         return PhasePolynomial(terms, fallback_used=fallback)
 
-    mons = lowest_monomials(n)
-    poly = None
+    def fit(mons, solve, fallback):
+        poly = to_poly(mons, solve(build(mons), phi), fallback)
+        return poly, np.max(np.abs(poly.evaluate(pos[:, 0], pos[:, 1]) - phi))
+
     try:
-        coefs = np.linalg.solve(build(mons), phi)
-        candidate = to_poly(mons, coefs, False)
-        if np.max(np.abs(candidate.evaluate(pos[:, 0], pos[:, 1]) - phi)) <= PHASE_FIT_TOL:
-            poly = candidate
+        poly, resid = fit(lowest_monomials(n), np.linalg.solve, False)
+        if resid <= PHASE_FIT_TOL:
+            return poly
+        failure = f"residual {float(resid)!r} rad"
     except np.linalg.LinAlgError:
-        pass
-    if poly is None:
-        mons = lowest_monomials(max(30, n))
-        coefs, *_ = np.linalg.lstsq(build(mons), phi, rcond=None)
-        poly = to_poly(mons, coefs, True)
-        resid = np.max(np.abs(poly.evaluate(pos[:, 0], pos[:, 1]) - phi))
-        if resid > PHASE_FIT_TOL:
-            raise ModelError(f"phase field interpolation failed: residual {float(resid)!r} rad")
-    return poly
+        failure = f"singular {n}x{n} system"
+    if n < 30:
+        poly, resid = fit(lowest_monomials(30),
+                          lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], True)
+        if not resid > PHASE_FIT_TOL:
+            return poly
+        failure = f"residual {float(resid)!r} rad"
+    raise ModelError(f"phase field interpolation failed: {failure}")
 
 
 def _gaussian(peak, u, dx, v, dy, out=None):

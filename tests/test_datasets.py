@@ -10,15 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qconcepts import datasets
 from qconcepts.datasets import (
     ANIMAL_ACTS_OUTCOMES,
     EXEMPLAR_HEADER,
     MEMBERSHIP_HEADER,
-    _exemplar_fast,
+    _exemplar_columns,
     _exemplar_row,
-    _iter_csv_rows,
-    _membership_fast,
-    _membership_rows,
+    _membership_columns,
+    _membership_row,
+    _split,
     _table,
     dataset_file_bytes,
     dataset_ids,
@@ -31,8 +32,8 @@ from qconcepts.datasets import (
     parse_exemplar_csv,
     parse_membership_csv,
 )
-from qconcepts.disjunction_model import ExemplarColumns
-from qconcepts.errors import DataError
+from qconcepts.disjunction_model import ExemplarColumns, ExemplarRow
+from qconcepts.errors import DataError, ModelError
 
 MEMBERSHIP_TEXT = """\
 exemplar,conceptA,conceptB,muA,muB,muJoint,connective
@@ -132,7 +133,7 @@ def test_parse_membership_basics():
     assert cols.exemplar[0] == "Mint" and cols.connective[0] == "and"
     assert cols.mu_joint[1] == 0.9
     # a header alone yields empty columns, from the comma split and from the
-    # per-row loop (which a blank line after the header selects)
+    # row loop (which a blank line after the header selects)
     header = MEMBERSHIP_TEXT.splitlines()[0]
     for text in (header, header + "\n\n"):
         empty = parse_membership_csv(text)
@@ -252,7 +253,7 @@ def test_bundled_files_carry_provenance_comments():
 
 
 def _reference_iter_csv_rows(text, source):
-    """Every line through its own csv.reader, as parsed before the comma-split path."""
+    """Every non-blank, non-comment line through its own csv.reader."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -279,17 +280,25 @@ _csv_pieces = st.sampled_from(['a', 'b c', ',', '"', '""', '"x,y"', '\r', '\n', 
                                '\x1c', '\x85', ' ', '\t', '\x00', '#', '\n#', '\n\n', 'é'])
 
 
+def _split_lines(text, source):
+    """``_split`` over the lines the reader parses, with their line numbers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, _split(raw, source, lineno)
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(text=st.lists(_csv_pieces, max_size=40).map("".join))
 def test_comma_split_matches_the_per_line_csv_reader(text):
-    assert _rows_then_error(_iter_csv_rows(text, "t.csv")) == \
+    assert _rows_then_error(_split_lines(text, "t.csv")) == \
         _rows_then_error(_reference_iter_csv_rows(text, "t.csv"))
 
 
-# ------------------------------------------- columnar parse against the per-row loop
+# ---------------------------------------------- membership parse against a reference
 
 def _reference_membership(text, source):
-    """The per-row membership parser the columnar one replaced: one validated
+    """A per-row membership parser independent of ``datasets``: one validated
     7-tuple per row, each line through its own csv.reader."""
     rows, header_seen = [], False
     for lineno, fields in _reference_iter_csv_rows(text, source):
@@ -331,6 +340,12 @@ def _column_lists(cols):
                 cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective]
     assert all(type(v) is float for col in cols[3:6] for v in col)
     return cols[:3] + [[v.hex() for v in col] for col in cols[3:6]] + cols[6:]
+
+
+def _membership_rows(text, source):
+    """The row loop alone: every row through ``_membership_row``, then the column builder."""
+    rows = _table(text, source, MEMBERSHIP_HEADER, _membership_row)
+    return _membership_columns([f for r in rows for f in r], len(MEMBERSHIP_HEADER))
 
 
 def _columns_or_error(parse, text):
@@ -401,22 +416,50 @@ def _membership_text(draw):
 def test_columnar_membership_parse_matches_the_per_row_loop(text):
     want = _columns_or_error(_reference_membership, text)
     assert _columns_or_error(parse_membership_csv, text) == want
-    # the per-row loop alone, also on the tables the comma split takes
+    # the row loop alone, also on the tables the comma split takes
     assert _columns_or_error(_membership_rows, text) == want
 
 
-def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest():
+def _recording(monkeypatch, name):
+    """Replace ``datasets.<name>`` with a wrapper that records each row it checks."""
+    calls, real = [], getattr(datasets, name)
+
+    def row(fields, number):
+        calls.append(fields)
+        return real(fields, number)
+
+    monkeypatch.setattr(datasets, name, row)
+    return calls
+
+
+def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest(monkeypatch):
+    calls = _recording(monkeypatch, "_membership_row")
     header = ",".join(MEMBERSHIP_HEADER)
     plain = f"# note\n\n{header}\nMint,Food,Plant,0.87,0.81,0.9,and\n A ,B,C,-0.0, 1e-05 ,0,or\n"
-    cols = _membership_fast(plain)
+    cols = parse_membership_csv(plain)
     assert len(cols) == 2
     assert cols.exemplar == ["Mint", "A"] and cols.mu_a[1].hex() == "-0x0.0p+0"
-    assert len(_membership_fast(header)) == 0
+    assert len(parse_membership_csv(header)) == 0
+    assert calls == []
     for body in ('"Mint",Food,Plant,0.87,0.81,0.9,and', "Mint,Food,Plant,0.87,0.81,0.9,and\n#",
-                 "Mint,Food,Plant,0.87,0.81,and\nA,B,C,0.5,0.5,0.5,or,x",
+                 "Mint,Food,Plant,0.87,0.81,0.9,and\n\nA,B,C,0.5,0.5,0.5,or",
+                 "Mint,Food,Plant,0.87,0.81,0.9,and\nA,B,C,0.5,0.5,or\nD,E,F,0.5,0.5,0.5,or,x",
                  "Mint,Food,Plant,1_0,0.81,0.9,and", "Mint,Food,Plant,0.87,0.81,0.9\x00,and"):
-        with pytest.raises(ValueError):
-            _membership_fast(f"{header}\n{body}\n")
+        text = f"{header}\n{body}\n"
+        calls.clear()
+        got = _columns_or_error(parse_membership_csv, text)
+        assert calls != []
+        assert got == _columns_or_error(_reference_membership, text)
+
+
+def test_bundled_membership_table_takes_the_comma_split(monkeypatch):
+    # its provenance comments above the header hold quotes; its body does not
+    calls = _recording(monkeypatch, "_membership_row")
+    text = dataset_file_bytes("hampton-table3").decode("utf-8")
+    assert '"' in text.split("\nexemplar,")[0]
+    assert _column_lists(load_dataset("hampton-table3").rows) == \
+        _column_lists(_reference_membership(text, "hampton_membership.csv"))
+    assert calls == []
 
 
 def test_membership_dataset_columns_match_the_per_row_loop():
@@ -428,7 +471,7 @@ def test_membership_dataset_columns_match_the_per_row_loop():
             _column_lists([r for r in rows if r[6] in keep])
 
 
-# ------------------------------------- columnar exemplar parse against the row loop
+# ------------------------------------------------ exemplar parse against a reference
 
 def _exemplar_lists(cols):
     """Indices, names, then each weight column and phi_deg (None if absent)
@@ -441,10 +484,46 @@ def _exemplar_lists(cols):
     return [cols.index, cols.name, *hexes[:3], hexes[3] if hexes[3:] else None]
 
 
+def _reference_exemplar(text, source):
+    """A per-row exemplar parser independent of ``datasets``: one ``ExemplarRow``
+    per row, each line through its own csv.reader, then ``from_rows``."""
+    rows, names = [], None
+    for lineno, fields in _reference_iter_csv_rows(text, source):
+        if names is None:
+            if fields not in (list(EXEMPLAR_HEADER), [*EXEMPLAR_HEADER, "phi_deg"]):
+                raise DataError(f"{source}: expected header {','.join(EXEMPLAR_HEADER)}"
+                                f"[,phi_deg], got {','.join(fields)}", line=lineno)
+            names = fields
+            continue
+        if len(fields) != len(names):
+            raise DataError(f"{source}: expected {len(names)} fields, got {len(fields)}",
+                            line=lineno)
+        try:
+            index = int(fields[0])
+        except ValueError:
+            raise DataError(f"{source}: index is not an integer: {fields[0]!r}", line=lineno,
+                            column="index") from None
+        values = []
+        for name, cell in zip(names[2:], fields[2:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"{source}: {name} is not a number: {cell!r}", line=lineno,
+                                column=name) from None
+        try:
+            rows.append(ExemplarRow(index, fields[1], *values))
+        except ModelError as exc:
+            raise DataError(f"{source}: {exc}", line=lineno) from None
+    if names is None:
+        raise DataError(f"{source}: missing header row")
+    return ExemplarColumns.from_rows(rows)
+
+
 def _exemplar_rows(text, source):
-    """The per-row loop alone: every row through ``_exemplar_row``, then ``from_rows``."""
-    return ExemplarColumns.from_rows(
-        _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg"))
+    """The row loop alone: every row through ``_exemplar_row``, then the column builder."""
+    rows = _table(text, source, EXEMPLAR_HEADER, _exemplar_row, optional="phi_deg")
+    # a table with no rows gives the same empty columns at either width
+    return _exemplar_columns([f for r in rows for f in r], len(rows[0]) if rows else 5)
 
 
 def _exemplar_or_error(parse, text):
@@ -509,19 +588,37 @@ def _exemplar_text(draw):
 @example(text=_EXEMPLAR_HEADERS[1] + "\n1,A,0.5,0.5,0.5,-180.00000000000003\n")
 @example(text=_EXEMPLAR_HEADERS[1] + "\n")
 def test_columnar_exemplar_parse_matches_the_per_row_loop(text):
-    want = _exemplar_or_error(_exemplar_rows, text)
+    want = _exemplar_or_error(_reference_exemplar, text)
     assert _exemplar_or_error(parse_exemplar_csv, text) == want
+    # the row loop alone, also on the tables the comma split takes
+    assert _exemplar_or_error(_exemplar_rows, text) == want
 
 
-def test_exemplar_fast_path_takes_plain_tables_and_declines_the_rest():
+def test_exemplar_fast_path_takes_plain_tables_and_declines_the_rest(monkeypatch):
+    calls = _recording(monkeypatch, "_exemplar_row")
     table2 = dataset_file_bytes("fruits-vegetables-table2").decode("utf-8")
-    cols = _exemplar_fast(table2)
+    cols = parse_exemplar_csv(table2)
     assert len(cols) == 24 and cols.phi_deg[7] == 87.6039
-    assert _exemplar_lists(cols) == _exemplar_lists(_exemplar_rows(table2, "t.csv"))
+    assert _exemplar_lists(cols) == _exemplar_lists(_reference_exemplar(table2, "t.csv"))
     # as the benchmark writes them: full-precision weights and no phi_deg column
     plain = _EXEMPLAR_HEADERS[0] + "\n" + "".join(
         f"{k},x{k:04d},{0.1 / k!r},{0.2 / k!r},{0.15 / k!r}\n" for k in range(1, 6))
-    cols = _exemplar_fast(plain)
+    cols = parse_exemplar_csv(plain)
     assert cols.index == [1, 2, 3, 4, 5] and cols.phi_deg is None
-    with pytest.raises(ValueError):
-        _exemplar_fast(plain.replace("x0002", '"x0002"'))
+    padded = f"# note\n\n{_EXEMPLAR_HEADERS[1]}\n 7 , A ,-0.0, 1e-05 ,0, -0.0\n"
+    cols = parse_exemplar_csv(padded)
+    assert cols.index == [7] and cols.name == ["A"] and cols.phi_deg[0].hex() == "-0x0.0p+0"
+    for header in _EXEMPLAR_HEADERS:
+        empty = parse_exemplar_csv(header)
+        assert len(empty) == 0 and empty.phi_deg is None
+    assert calls == []
+    for body in ('1,"Almond",0.1,0.1,0.1', "1,Almond,0.1,0.1,0.1\n#",
+                 "1,Almond,0.1,0.1,0.1\n\n2,Acorn,0.2,0.2,0.2",
+                 "1,Almond,0.1,0.1,0.1\n2,Acorn,0.2,0.2\n3,B,0.2,0.2,0.2,x",
+                 "1,Almond,1_0,0.1,0.1",
+                 "1,Almond,0.1,0.1,0.1\x00"):
+        text = f"{_EXEMPLAR_HEADERS[0]}\n{body}\n"
+        calls.clear()
+        got = _exemplar_or_error(parse_exemplar_csv, text)
+        assert calls != []
+        assert got == _exemplar_or_error(_reference_exemplar, text)

@@ -481,6 +481,22 @@ def test_fit_phase_field_singular_square_system_falls_back():
     assert np.max(np.abs(fit - phases)) <= 1e-6
 
 
+def test_fit_phase_field_singular_square_system_at_30_points_fails_without_lstsq(monkeypatch):
+    # 30 collinear points: the square system on 30 monomials is singular, and
+    # the 30 lowest monomials the fallback would use are the same system
+    calls = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or real(*a, **k))
+    positions = [(float(k), float(k)) for k in range(30)]
+    with pytest.raises(ModelError, match=r"interpolation failed: singular 30x30 system"):
+        fit_phase_field(positions, np.sin(np.arange(30.0)))
+    assert calls == []
+    # below 30 points the fallback still runs, over a wider basis
+    with pytest.raises(ModelError, match=r"interpolation failed: residual"):
+        fit_phase_field(positions[:29], np.sin(np.arange(29.0)))
+    assert len(calls) == 1
+
+
 def test_phase_polynomial_scalar_and_array_evaluate():
     poly = PhasePolynomial(((0, 0, 1.0), (1, 1, 2.0)))
     value = poly.evaluate(3.0, 0.5)

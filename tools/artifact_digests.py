@@ -53,6 +53,8 @@ def _calls(inputs: Path) -> list:
         ["classicality", "--dataset", "hampton-table3"],
         ["classicality", "--input", str(inputs / "membership.csv")],
         ["classicality", "--input", str(inputs / "membership-bom.csv")],
+        ["classicality", "--input", str(inputs / "membership-quoted.csv")],
+        ["classicality", "--input", str(inputs / "membership-out-of-range.csv")],
         ["classicality", *table2],
         _fock(0.87, 0.81, 0.90, "and"),
         _fock(0.3, 0.4, 0.45, "or"),
@@ -64,10 +66,12 @@ def _calls(inputs: Path) -> list:
         ["chsh", "--dataset", "animal-acts-table1"],
         ["chsh", "--dataset", "animal-acts-table1-counts"],
         *(["chsh", "--input", str(inputs / f"{name}.csv")] for name in COINCIDENCE_FILES),
+        ["chsh", "--input", str(inputs / "commented.csv")],
         ["disjunction-model", *table2],
         ["disjunction-model", *table2, "--emit-vectors"],
         ["disjunction-model", "--input", str(inputs / "exemplars.csv"), "--emit-vectors"],
         ["disjunction-model", "--input", str(inputs / "exemplars-phi.csv")],
+        ["disjunction-model", "--input", str(inputs / "exemplars-quoted.csv")],
         ["wavefield", *table2],
         ["wavefield", *table2, "--grid", "64x48", "--format", "csv"],
         ["wavefield", "--input", str(inputs / "table2-plain.csv"), "--grid", "64x48",
@@ -114,7 +118,19 @@ def main(root: str) -> None:
         membership = workloads.membership_csv(1, 2000)[0]
         (inputs / "membership.csv").write_bytes(membership)
         (inputs / "membership-bom.csv").write_bytes(b"\xef\xbb\xbf" + membership)
-        (inputs / "exemplars.csv").write_bytes(workloads.exemplar_csv(1)[0])
+        # the same table with a quoted name and a comment line after the
+        # header, read row by row, and with one weight out of range, which
+        # fails the comma split's check and then the row loop's
+        lines = membership.decode().splitlines(keepends=True)
+        (inputs / "membership-quoted.csv").write_text("".join(
+            [lines[0], "# a comment in the body\n", *lines[1:9], '"Spoon, quoted"'
+             + lines[9][lines[9].index(","):], *lines[10:]]))
+        cells = lines[1000].split(",")
+        (inputs / "membership-out-of-range.csv").write_text("".join(
+            [*lines[:1000], ",".join([*cells[:3], "1.5", *cells[4:]]), *lines[1001:]]))
+        exemplars = workloads.exemplar_csv(1)[0]
+        (inputs / "exemplars.csv").write_bytes(exemplars)
+        (inputs / "exemplars-quoted.csv").write_bytes(exemplars.replace(b",x0010,", b',"x0010",'))
         # the same kind of table with a seeded signed angle on every row
         lines = workloads.exemplar_csv(2)[0].decode().splitlines()
         angles = np.random.default_rng(2).uniform(-180.0, 180.0, len(lines) - 1).tolist()
@@ -128,6 +144,10 @@ def main(root: str) -> None:
             (inputs / f"{name}.csv").write_text(
                 "experiment,outcome11,outcome12,outcome21,outcome22\n"
                 + "".join(f"{label},{values}\n" for label, values in rows))
+        (inputs / "commented.csv").write_text(
+            "experiment,outcome11,outcome12,outcome21,outcome22\n" + "".join(
+                f"{label},{values}\n" + "# a comment between blocks\n" * (label == "A'B")
+                for label, values in BLOCKS.items()))
         for i, argv in enumerate(_calls(inputs)):
             for j, run_argv in enumerate((argv, [*argv, "--json"])):
                 cwd = Path(tmp, f"run-{i:02d}-{j}")
