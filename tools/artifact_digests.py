@@ -76,6 +76,9 @@ def _calls(inputs: Path) -> list:
         ["wavefield", *table2, "--grid", "64x48", "--format", "csv"],
         ["wavefield", "--input", str(inputs / "table2-plain.csv"), "--grid", "64x48",
          "--format", "csv"],
+        # a partial last row block, and a width that is not a power of two
+        ["wavefield", *table2, "--grid", "333x517"],
+        ["wavefield", *table2, "--grid", "37x23", "--format", "csv"],
     ]
 
 
