@@ -22,10 +22,12 @@ pi/2, so a 90-degree phase field degenerates the superposed pattern to the
 classical average bit for bit.
 
 Rasters are built and normalized in blocks of rows of about _BLOCK_PIXELS
-pixels, so each step's temporaries stay in cache; every pixel goes through
-the same elementwise operations as on the whole grid. The blocks are shared
-by the calling thread and helper threads, one per further CPU the process
-may use (limit them with ``taskset``); the output is identical for any count.
+pixels, so each step's temporaries stay in cache; each pixel gets the same
+values as on the whole grid. The phase's one-axis terms are added as an x
+row or a y column, with no product by the other axis's ones. The blocks
+are shared by the calling thread and helper threads, one per further CPU
+the process may use (limit them with ``taskset``); the output is identical
+for any count.
 
 Everything here is deterministic: fixed sample counts, fixed scan grids,
 and one array bisection that places exemplars at crossings and tangencies.
@@ -97,17 +99,25 @@ class PhasePolynomial:
     fallback_used: bool = False
 
     def evaluate(self, x, y, out=None, term=None):
-        """phi at (x, y). Given out and term, arrays of the broadcast shape, the
-        sum goes to out and each term is formed in term: the same arithmetic
-        with no allocation at that shape."""
+        """phi at (x, y), the terms summed in order. Each distinct power of x
+        and of y is taken once. A one-axis term is added as its x row (y
+        column): its product by the other axis's power 0, ones, is exact and
+        is skipped. Given out and term, arrays of the broadcast shape, the
+        sum goes to out and each two-axis product is formed in term: the
+        same arithmetic with no allocation at that shape."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if out is None:
             out = np.zeros(np.broadcast(x, y).shape)
         else:
             out[...] = 0.0
+        xp = {mx: x ** mx for mx in {mx for mx, _, _ in self.terms}}
+        yp = {my: y ** my for my in {my for _, my, _ in self.terms}}
         for mx, my, coef in self.terms:
-            out += np.multiply(coef * x ** mx, y ** my, out=term)
+            if my == 0 or mx == 0:
+                out += coef * (xp[mx] if my == 0 else yp[my])
+            else:
+                out += np.multiply(coef * xp[mx], yp[my], out=term)
         return out if out.shape else float(out)
 
 
@@ -450,9 +460,11 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
 
 
 def _gaussian(peak, u, dx, v, dy, out=None):
-    """peak * exp(-(u dx^2 + v dy^2)), computed in out when given."""
-    g = np.add(u * dx ** 2, v * dy ** 2, out=out)
-    return np.multiply(peak, np.exp(np.negative(g, out=out), out=out), out=out)
+    """peak * exp(-(u dx^2 + v dy^2)), computed in out when given. The sum is
+    negated as (-(u dx^2)) + (-(v dy^2)), on dx's and dy's own shapes:
+    round-to-nearest is symmetric, so the bits are those of -(a + b)."""
+    g = np.add(-(u * dx ** 2), -(v * dy ** 2), out=out)
+    return np.multiply(peak, np.exp(g, out=out), out=out)
 
 
 def _intensity_fields(config: WaveFieldConfig, x, y, out=(None, None)):
@@ -507,8 +519,8 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial, grid=DEFA
     except (MemoryError, ValueError):   # numpy's "array is too big" is a ValueError
         raise ModelError(f"grid {nx}x{ny} is too large to allocate") from None
     # each block broadcasts the x row against its ys column: one-axis terms
-    # cost nx or (block rows) operations, every pixel gets the same
-    # arithmetic as on the whole grid, and the temporaries stay in cache
+    # cost nx or (block rows) operations, every pixel gets the same values
+    # as on the whole grid, and the temporaries stay in cache
     x = xs[None, :]
 
     def block(rows, scratch):

@@ -9,6 +9,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qconcepts import wavefield
 from qconcepts.datasets import load_dataset
@@ -31,6 +34,7 @@ from qconcepts.wavefield import (
     _cos_phase,
     _curve_point,
     _fit_widths,
+    _gaussian,
     _log_ratios,
     default_config,
     evaluate_at,
@@ -505,6 +509,78 @@ def test_phase_polynomial_scalar_and_array_evaluate():
     assert arr.shape == (2,) and arr.tolist() == [1.0, 4.0]
 
 
+def _term_by_term(terms, x, y):
+    """Reference phi: every term's full product, added to the total in order."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(np.broadcast(x, y).shape)
+    for mx, my, coef in terms:
+        out += np.multiply(coef * x ** mx, y ** my)
+    return out if out.shape else float(out)
+
+
+def _assert_same_bits(got, want):
+    """Finite and infinite values equal byte for byte, NaN at the same places."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.1e-308, -1.1e-308]
+COORDS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-30.0, 30.0), st.floats())
+TERMS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3), st.floats(allow_nan=False,
+                                                                  allow_infinity=False))),
+    max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_evaluate_matches_the_term_by_term_loop(data):
+    terms = data.draw(TERMS)
+    if data.draw(st.booleans(), label="leading constant"):
+        terms = [(0, 0, data.draw(COORDS.filter(np.isfinite))), *terms]
+    terms = tuple(terms + terms[:data.draw(st.integers(0, 3), label="repeats")])
+    layout = data.draw(st.sampled_from(["scalar", "row x column", "same shape"]))
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    if layout == "scalar":
+        x, y = data.draw(COORDS), data.draw(COORDS)
+    else:
+        shapes = [(1, n), (m, 1)] if layout == "row x column" else [(m, n), (m, n)]
+        x, y = (data.draw(arrays(float, shape, elements=COORDS)) for shape in shapes)
+    poly = PhasePolynomial(terms)
+    with np.errstate(all="ignore"):
+        want = _term_by_term(terms, x, y)
+        got = poly.evaluate(x, y)
+        _assert_same_bits(got, want)
+        assert isinstance(got, float) == (layout == "scalar")
+        if layout != "scalar":
+            # out and term start as garbage; term may hold anything afterwards
+            out, term = np.full((m, n), np.nan), np.full((m, n), -7.0)
+            assert poly.evaluate(x, y, out=out, term=term) is out
+            _assert_same_bits(out, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(peak=st.floats(1e-3, 1.0), u=st.floats(1e-3, 10.0), v=st.floats(1e-3, 10.0),
+       dx=arrays(float, st.tuples(st.just(1), st.integers(1, 6)), elements=st.one_of(
+           st.sampled_from([0.0, -0.0, 27.0, -30.0]), st.floats(-40.0, 40.0),
+           st.floats(allow_nan=False, allow_infinity=False))),
+       dy=arrays(float, st.tuples(st.integers(1, 6), st.just(1)), elements=st.one_of(
+           st.sampled_from([0.0, -0.0, 27.0, -30.0]), st.floats(-40.0, 40.0))))
+# exp(-729) is subnormal and exp(-900) is 0
+@example(peak=1.0, u=1.0, v=1.0, dx=np.array([[27.0, -0.0]]), dy=np.array([[0.0], [-30.0]]))
+def test_gaussian_matches_the_negated_sum(peak, u, v, dx, dy):
+    with np.errstate(over="ignore", under="ignore"):
+        want = peak * np.exp(-(u * dx ** 2 + v * dy ** 2))
+        _assert_same_bits(_gaussian(peak, u, dx, v, dy), want)
+        out = np.full(want.shape, np.nan)
+        assert _gaussian(peak, u, dx, v, dy, out=out) is out
+    _assert_same_bits(out, want)
+
+
 def test_evaluate_patterns_shapes_and_keys(table2):
     _, config, _, poly = table2
     patterns = evaluate_patterns(config, poly, grid=(64, 48))
@@ -801,6 +877,28 @@ def test_export_pgm_matches_whole_array_normalization(tmp_path, table2, set_cpus
     payload = np.frombuffer(_pgm_reference(_ulp_pattern())[len(b"P5\n4 3\n65535\n"):],
                             dtype=">u2")
     assert payload[[0, 3, 4, 7]].tolist() == [0, 65535, 65535, 0]
+
+
+@pytest.mark.parametrize("columns", [(3, 3), (0, 1), (1, 0)])
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("bound", ["min", "max"])
+def test_pgm_sidecar_bounds_keep_the_whole_array_zero_sign(tmp_path, bound, first, columns):
+    # a zero of each sign, in different row blocks, ties for the bound.
+    # numpy's whole-array reduction picks the sign by its own lane order
+    # ([0.0, -0.0].min() is -0.0, [-0.0, 0.0].min() is 0.0), so bounds
+    # reduced by row blocks could write the other sign into the sidecar
+    rest = 0.5 if bound == "min" else -0.5
+    values = np.full((2 * BLOCK + 1, BLOCK_NX), rest)
+    values[1, columns[0]] = first
+    values[BLOCK + 1, columns[1]] = -first
+    pattern = GridPattern(BLOCK_NX, 2 * BLOCK + 1, (0.0, 1.0, 0.0, 1.0), values,
+                          GridKind.SUPERPOSED)
+    path = tmp_path / "zeros.pgm"
+    export_grid(pattern, str(path), fmt="pgm")
+    assert path.read_bytes() == _pgm_reference(pattern)
+    meta = json.loads((tmp_path / "zeros.pgm.json").read_text())
+    assert repr(meta["value_min"]) == repr(float(values.min()))
+    assert repr(meta["value_max"]) == repr(float(values.max()))
 
 
 def test_export_rejects_unknown_format(tmp_path, table2):
