@@ -86,8 +86,6 @@ def coincidence_from_values(label, values,
     total = None
     if any(v > 1.0 for v in vals):
         total = sum(vals)
-        if total <= 0:
-            raise ModelError(f"{label}: counts sum to zero")
         vals = [v / total for v in vals]
     return CoincidenceTable(label, *vals, outcome_names=tuple(outcome_names), total=total)
 

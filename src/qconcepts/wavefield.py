@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .disjunction_model import ExemplarColumns
 from .errors import ModelError, PlacementError
 
 INTENSITY_TOL = 1e-9        # log-space agreement required at placed points
@@ -233,7 +232,7 @@ _MISSES = (None, "peak of A misses its B level", "peak of B misses its A level",
 
 
 def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
-    """Intersect each exemplar's two intensity level curves.
+    """Intersect the two intensity level curves of each ``ExemplarColumns`` row.
 
     Row k must satisfy I_A = mu(A)_k on an ellipse about the origin and
     I_B = mu(B)_k on one about center_b. Of the (generically two) crossing
@@ -248,7 +247,6 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
     step; each side of the extremum is then bisected.
     The first row in input order that cannot be placed raises.
     """
-    rows = ExemplarColumns.from_rows(rows)
     la = _log_ratios(config.amplitude_a, rows.mu_a, "muA")
     lb = _log_ratios(config.amplitude_b, rows.mu_b, "muB")
     ua, va = 1.0 / (2.0 * config.sigma_ax ** 2), 1.0 / (2.0 * config.sigma_ay ** 2)
@@ -311,7 +309,7 @@ def place_exemplars(rows, config: WaveFieldConfig) -> np.ndarray:
 
 
 def _fit_widths(rows):
-    """One-parameter width fit: circular A pinned by B's anchor, elliptical B.
+    """Width fit to ``ExemplarColumns``: circular A pinned by B's anchor, elliptical B.
 
     The A-peak row sits at the origin and the B-peak row at CENTER_B, which
     pins sigma_A and one linear combination of B's axis weights. The loose
@@ -321,7 +319,6 @@ def _fit_widths(rows):
     robustly. Fully circular B is infeasible for data whose mid-weight rows
     have short level-curve radii, hence the free axis.
     """
-    rows = ExemplarColumns.from_rows(rows)
     mu_a, mu_b = rows.mu_a, rows.mu_b
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
     if ia == ib:
@@ -379,9 +376,8 @@ def _fit_widths(rows):
 
 
 def default_config(rows) -> WaveFieldConfig:
-    """Fit widths to the data with B centred at CENTER_B, place all
-    exemplars, and return the full config."""
-    rows = ExemplarColumns.from_rows(rows)
+    """Fit widths to an ``ExemplarColumns`` table with B centred at CENTER_B,
+    place all exemplars, and return the full config."""
     sigma_a, sigma_bx, sigma_by, ia, ib = _fit_widths(rows)
     config = WaveFieldConfig(
         amplitude_a=float(rows.mu_a.max()),

@@ -1,14 +1,26 @@
 """Shared helpers: an in-process CLI runner, the raster's CPU count, a
-raster helper thread that fails."""
+raster helper thread that fails, and exemplar columns from hand-built rows."""
 from __future__ import annotations
 
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from qconcepts import cli, wavefield
+from qconcepts.disjunction_model import ExemplarColumns
 from qconcepts.errors import ModelError
+
+
+def exemplar_columns(rows):
+    """The ``ExemplarColumns`` of a list of ``ExemplarRow``s; the angles are
+    kept only if every row supplies one."""
+    phi = [r.phi_deg for r in rows]
+    return ExemplarColumns([r.index for r in rows], [r.name for r in rows],
+                           *(np.array([getattr(r, f) for r in rows], dtype=float)
+                             for f in ("mu_a", "mu_b", "mu_a_or_b")),
+                           np.array(phi, dtype=float) if phi and None not in phi else None)
 
 
 @pytest.fixture

@@ -670,6 +670,28 @@ def test_a_plain_table2_input_gives_the_bundled_outputs(run_cli, tmp_path):
     assert runs["--input"] == runs["--dataset"]
 
 
+@pytest.mark.parametrize("col, cell, message, column", [
+    (2, "abc", "muA is not a number: 'abc'", "muA"),
+    # a quoted name longer than the csv module's field limit
+    (1, '"' + "x" * (csv.field_size_limit() + 1) + '"',
+     f"malformed CSV: field larger than field limit ({csv.field_size_limit()})", None),
+], ids=["weight-not-a-number", "name-over-the-field-limit"])
+def test_a_bad_sixth_row_is_a_data_error_at_its_line(run_cli, tmp_path, col, cell, message,
+                                                      column):
+    # field col of the sixth row (line 7) of Table 2 without its comments
+    path = _table2_without_comments(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[6].split(",")
+    lines[6] = ",".join([*fields[:col], cell, *fields[col + 1:]])
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run_cli("disjunction-model", "--input", path, "--json")
+    assert code == 1 and out == ""
+    want = {"type": "DataError", "message": f"{path}: {message}", "line": 7}
+    if column is not None:
+        want["column"] = column
+    assert json.loads(err) == {"error": want}
+
+
 def test_wavefield_pgm_run(run_cli_json, tmp_path):
     code, payload, err = run_cli_json(
         "wavefield", "--dataset", "fruits-vegetables-table2",

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -486,7 +487,7 @@ def _exemplar_lists(cols):
 
 def _reference_exemplar(text, source):
     """A per-row exemplar parser independent of ``datasets``: one ``ExemplarRow``
-    per row, each line through its own csv.reader, then ``from_rows``."""
+    per row, each line through its own csv.reader, then the rows' columns."""
     rows, names = [], None
     for lineno, fields in _reference_iter_csv_rows(text, source):
         if names is None:
@@ -516,7 +517,11 @@ def _reference_exemplar(text, source):
             raise DataError(f"{source}: {exc}", line=lineno) from None
     if names is None:
         raise DataError(f"{source}: missing header row")
-    return ExemplarColumns.from_rows(rows)
+    mu = ([getattr(r, f) for r in rows] for f in ("mu_a", "mu_b", "mu_a_or_b"))
+    phi = [r.phi_deg for r in rows] if rows and len(names) == 6 else None
+    return ExemplarColumns([r.index for r in rows], [r.name for r in rows],
+                           *(np.array(col, dtype=float) for col in mu),
+                           None if phi is None else np.array(phi, dtype=float))
 
 
 def _exemplar_rows(text, source):

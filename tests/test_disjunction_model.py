@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exemplar_columns
 from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import (
     DisjunctionModel,
@@ -257,18 +258,11 @@ def test_build_model_with_supplied_signs_pins(table2_rows):
 def test_build_model_sign_search_pin(table2_rows):
     stripped = [ExemplarRow(r.index, r.name, r.mu_a, r.mu_b, r.mu_a_or_b)
                 for r in table2_rows]
-    model = build_model(stripped)
+    model = build_model(exemplar_columns(stripped))
     assert model.sign_source == "search"
     assert model.sign_residual == pytest.approx(0.007508126415909533, abs=1e-12)
     # the search residual beats the supplied-sign residual here
     assert model.sign_residual < 0.015448574874252562
-
-
-def test_build_model_rejects_mixed_phase_supply(table2_rows):
-    rows = list(table2_rows)
-    rows[0] = ExemplarRow(1, rows[0].name, rows[0].mu_a, rows[0].mu_b, rows[0].mu_a_or_b)
-    with pytest.raises(ModelError, match="all rows or for none"):
-        build_model(rows)
 
 
 def test_build_model_rejects_overfull_columns():
@@ -277,7 +271,7 @@ def test_build_model_rejects_overfull_columns():
         ExemplarRow(2, "Y", 0.6, 0.3, 0.45, phi_deg=-10.0),
     ]
     with pytest.raises(ModelError, match="choose-one"):
-        build_model(rows)
+        build_model(exemplar_columns(rows))
     with pytest.raises(ModelError, match="at least one"):
         build_model([])
 
@@ -303,7 +297,8 @@ def test_born_weights_sum_to_one_over_family(table2_rows):
 def test_prediction_is_the_born_weight_of_the_fresh_superposition(table2_rows, strip_phases):
     rows = table2_rows
     if strip_phases:
-        rows = [ExemplarRow(r.index, r.name, r.mu_a, r.mu_b, r.mu_a_or_b) for r in rows]
+        rows = exemplar_columns(
+            [ExemplarRow(r.index, r.name, r.mu_a, r.mu_b, r.mu_a_or_b) for r in rows])
     model = build_model(rows)
     fresh = model.vector_a + model.vector_b
     fresh = fresh / np.linalg.norm(fresh)
@@ -324,7 +319,7 @@ def test_a_zero_supplied_angle_takes_the_positive_sign():
         ExemplarRow(1, "X", 0.3, 0.2, 0.3, phi_deg=0.0),
         ExemplarRow(2, "Y", 0.25, 0.3, 0.2, phi_deg=-0.0),
     ]
-    model = build_model(rows)
+    model = build_model(exemplar_columns(rows))
     assert model.sign_source == "supplied" and (model.phases > 0).all()
 
 
@@ -339,8 +334,8 @@ def test_supplied_angles_contribute_sign_only():
         ExemplarRow(1, "X", 0.3, 0.2, 0.3, phi_deg=1.0),
         ExemplarRow(2, "Y", 0.25, 0.3, 0.2, phi_deg=-179.0),
     ]
-    m1 = build_model(rows_true)
-    m2 = build_model(rows_bent)
+    m1 = build_model(exemplar_columns(rows_true))
+    m2 = build_model(exemplar_columns(rows_bent))
     assert np.array_equal(m1.phases, m2.phases)
     assert np.array_equal(m1.vector_b, m2.vector_b)
     # the recomputed phases invert the component relation exactly

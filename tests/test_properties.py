@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exemplar_columns
 from qconcepts.classicality import ZERO_SLACK, conjunction_diagnostics, disjunction_diagnostics
 from qconcepts.datasets import (
     COINCIDENCE_HEADER,
@@ -264,7 +265,7 @@ def _born_tables(draw):
 @SETTINGS
 @given(rows=_born_tables())
 def test_predictions_recover_born_consistent_disjunction_weights(rows):
-    model = build_model(rows)
+    model = build_model(exemplar_columns(rows))
     for k, row in enumerate(rows, start=1):
         assert predict_disjunction(model, k) == pytest.approx(row.mu_a_or_b, abs=1e-9)
 
@@ -281,7 +282,7 @@ def test_positive_weights_build_a_model_or_raise_a_model_error_without_warning(w
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            model = build_model(rows)
+            model = build_model(exemplar_columns(rows))
         except ModelError:
             return
         predictions = [predict_disjunction(model, k) for k in range(1, len(rows) + 1)]

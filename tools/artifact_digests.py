@@ -14,6 +14,7 @@ comparing the outputs with ``diff`` shows whether any artifact changed.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -79,6 +80,9 @@ def _calls(inputs: Path) -> list:
         # a partial last row block, and a width that is not a power of two
         ["wavefield", *table2, "--grid", "333x517"],
         ["wavefield", *table2, "--grid", "37x23", "--format", "csv"],
+        # a sixth row the reader rejects: at its muA, and as malformed CSV
+        *(["disjunction-model", "--input", str(inputs / f"table2-{name}.csv")]
+          for name in ("bad-weight", "long-name")),
     ]
 
 
@@ -139,10 +143,16 @@ def main(root: str) -> None:
         angles = np.random.default_rng(2).uniform(-180.0, 180.0, len(lines) - 1).tolist()
         (inputs / "exemplars-phi.csv").write_text("".join(
             f"{line},{phi}\n" for line, phi in zip(lines, ["phi_deg", *angles])))
-        # Table 2 without its comment lines
+        # Table 2 without its comment lines; then with a word for the sixth
+        # row's muA, and with a quoted name there over the csv field limit
         table2 = datasets.dataset_file_bytes("fruits-vegetables-table2").decode()
-        (inputs / "table2-plain.csv").write_text("".join(
-            line for line in table2.splitlines(keepends=True) if not line.startswith("#")))
+        plain = [line for line in table2.splitlines(keepends=True) if not line.startswith("#")]
+        (inputs / "table2-plain.csv").write_text("".join(plain))
+        cells = plain[6].split(",")
+        for name, col, cell in (("bad-weight", 2, "abc"),
+                                ("long-name", 1, '"' + "x" * (csv.field_size_limit() + 1) + '"')):
+            (inputs / f"table2-{name}.csv").write_text("".join(
+                [*plain[:6], ",".join([*cells[:col], cell, *cells[col + 1:]]), *plain[7:]]))
         for name, rows in COINCIDENCE_FILES.items():
             (inputs / f"{name}.csv").write_text(
                 "experiment,outcome11,outcome12,outcome21,outcome22\n"
