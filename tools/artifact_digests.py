@@ -83,6 +83,10 @@ def _calls(inputs: Path) -> list:
         # a sixth row the reader rejects: at its muA, and as malformed CSV
         *(["disjunction-model", "--input", str(inputs / f"table2-{name}.csv")]
           for name in ("bad-weight", "long-name")),
+        # the connective views, and names shared across columns or padded
+        ["classicality", "--dataset", "hampton-table3-conjunction"],
+        ["classicality", "--dataset", "hampton-table3-disjunction"],
+        ["classicality", "--input", str(inputs / "membership-shared.csv")],
     ]
 
 
@@ -135,6 +139,14 @@ def main(root: str) -> None:
         cells = lines[1000].split(",")
         (inputs / "membership-out-of-range.csv").write_text("".join(
             [*lines[:1000], ",".join([*cells[:3], "1.5", *cells[4:]]), *lines[1001:]]))
+        # every seventh exemplar renamed to one of its row's concepts, and one
+        # exemplar and one concept padded with spaces: one vocabulary for
+        # three columns, and names the reader must strip
+        shared = [line.split(",") for line in lines]
+        for i in range(7, len(shared), 7):
+            shared[i][0] = shared[i][1 + i % 2]
+        shared[5][0], shared[6][2] = f"  {shared[5][0]} ", f" {shared[6][2]}  "
+        (inputs / "membership-shared.csv").write_text("".join(map(",".join, shared)))
         exemplars = workloads.exemplar_csv(1)[0]
         (inputs / "exemplars.csv").write_bytes(exemplars)
         (inputs / "exemplars-quoted.csv").write_bytes(exemplars.replace(b",x0010,", b',"x0010",'))
