@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -85,15 +84,6 @@ def _join_chunks(sep, texts):
 def _gather(texts, codes) -> list:
     """``texts[c]`` for each code ``c``."""
     return np.array(texts, dtype=object)[np.asarray(codes, dtype=np.intp)].tolist()
-
-
-def _encode_names(strings, *encoders) -> list:
-    """For each encoder, ``encoder(s)`` for each string; every distinct
-    string is found once and encoded once per encoder."""
-    distinct = list(dict.fromkeys(strings))
-    code = {s: i for i, s in enumerate(distinct)}
-    codes = np.fromiter(map(code.__getitem__, strings), dtype=np.intp, count=len(strings))
-    return [_gather(list(map(encode, distinct)), codes) for encode in encoders]
 
 
 def _json_float_column(col) -> list:
@@ -180,12 +170,7 @@ def _dataset_rows(args, kind: str):
             raise ModelError(
                 f"dataset {args.dataset!r} holds {ds.kind} rows; this command needs {kind} rows")
         return ds.rows
-    loader = {
-        "membership": datasets.load_membership_csv,
-        "exemplar": datasets.load_exemplar_csv,
-        "coincidence": datasets.load_coincidence_csv,
-    }[kind]
-    return loader(args.input)
+    return getattr(datasets, f"load_{kind}_csv")(args.input)
 
 
 # ---------------------------------------------------------------- classicality
@@ -199,20 +184,17 @@ def _csv_field(text: str) -> str:
 
 def _cmd_classicality(args, argv) -> int:
     table = _dataset_rows(args, "membership")
-    is_and = np.array([c == "and" for c in table.connective], dtype=bool)
-    diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, is_and)
+    diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, table.is_and)
     ext_names = [e.value for e in classicality.ExtensionClass]
-    (names_json, names_csv), (a_json, a_csv), (b_json, b_csv) = (
-        _encode_names(col, _encode_str, _csv_field)
-        for col in (table.exemplar, table.concept_a, table.concept_b))
+    names_json, names_csv = (list(map(encode, table.names)) for encode in (_encode_str, _csv_field))
     columns = {
-        "exemplar": names_json,
-        "conceptA": a_json,
-        "conceptB": b_json,
+        "exemplar": _gather(names_json, table.exemplar),
+        "conceptA": _gather(names_json, table.concept_a),
+        "conceptB": _gather(names_json, table.concept_b),
         "muA": _json_float_column(table.mu_a),
         "muB": _json_float_column(table.mu_b),
         "muJoint": _json_float_column(table.mu_joint),
-        "connective": _gather(['"or"', '"and"'], is_and),
+        "connective": _gather(['"or"', '"and"'], table.is_and),
         "delta": _json_float_column(diag.delta),
         "k": _json_float_column(diag.kolmogorov_factor),
         "f": _json_float_column(diag.interference_need),
@@ -228,8 +210,9 @@ def _cmd_classicality(args, argv) -> int:
                            itertools.chain(map(str.encode, rows_json), [b"\n"]))
     # the weights are validated finite, so their JSON text is also their repr
     csv_lines = map(("%s," * 11 + "%s\n").__mod__, zip(
-        names_csv, a_csv, b_csv, columns["muA"], columns["muB"], columns["muJoint"],
-        _gather(["or", "and"], is_and), columns["delta"], columns["k"], columns["f"],
+        *(_gather(names_csv, c) for c in (table.exemplar, table.concept_a, table.concept_b)),
+        columns["muA"], columns["muB"], columns["muJoint"],
+        _gather(["or", "and"], table.is_and), columns["delta"], columns["k"], columns["f"],
         columns["classical"], _gather(ext_names, diag.extension_code)))
     header = ("exemplar,conceptA,conceptB,muA,muB,muJoint,connective,"
               "delta,k,f,classical,extension_class\n")
@@ -241,14 +224,15 @@ def _cmd_classicality(args, argv) -> int:
     def human():
         n = len(table)
         n_classical = int(np.count_nonzero(diag.classical_representable))
-        ext = _gather(ext_names, diag.extension_code)
-        class_summary = ", ".join(f"{c} {m}" for c, m in sorted(Counter(ext).items()))
+        counts = np.bincount(diag.extension_code, minlength=len(ext_names)).tolist()
+        class_summary = ", ".join(f"{c} {m}" for c, m in sorted(zip(ext_names, counts)) if m)
         yield f"{n} rows: {n_classical} classically representable, {n - n_classical} not"
         yield f"extension classes: {class_summary}"
         delta, k, f = (col.tolist() for col in
                        (diag.delta, diag.kolmogorov_factor, diag.interference_need))
-        for name, conn, d_, k_, f_, ext_ in zip(table.exemplar, table.connective,
-                                                delta, k, f, ext):
+        for name, conn, d_, k_, f_, ext_ in zip(
+                _gather(table.names, table.exemplar), _gather(["or", "and"], table.is_and),
+                delta, k, f, _gather(ext_names, diag.extension_code)):
             yield (f"  {name:<18} {conn:<3} delta {_sig(d_):>9}"
                    f"  k {_sig(k_):>9}  f {_sig(f_):>9}  {ext_}")
         yield f"wrote {json_name}, {csv_name}, classicality_manifest.json in {out}"
@@ -353,7 +337,7 @@ def _cmd_disjunction_model(args, argv) -> int:
     phi_deg = [round(d, 4) for d in np.degrees(model.phases).tolist()]
     rows_json = _json_rows({
         "index": list(map(str, rows.index)),
-        "name": _encode_names(rows.name, _encode_str)[0],
+        "name": list(map(_encode_str, rows.name)),
         "muA": _json_float_column(rows.mu_a),
         "muB": _json_float_column(rows.mu_b),
         "muAorB": _json_float_column(rows.mu_a_or_b),

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 
 class ModelError(ValueError):
-    """Base class for domain validation failures."""
+    """Base class for domain validation failures; ``column`` names an input column at fault."""
+
+    def __init__(self, message: str, column: str | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class DimensionMismatch(ModelError):
@@ -34,17 +38,17 @@ class DataError(ModelError):
     """Input-file validation failure; carries 1-based line number and column."""
 
     def __init__(self, message: str, line: int | None = None, column: str | None = None):
-        super().__init__(message)
+        super().__init__(message, column)
         self.line = line
-        self.column = column
 
 
 def check_unit_interval(pairs, prefix: str = ""):
-    """Raise ModelError unless every (label, value) pair lies in [0, 1].
+    """Raise ModelError, with the label as its column, unless every (label,
+    value) pair lies in [0, 1].
 
     NaN fails the check too. ``prefix`` leads the message, e.g. an exemplar
     name.
     """
     for label, value in pairs:
         if not (0.0 <= value <= 1.0):
-            raise ModelError(f"{prefix}{label} must lie in [0, 1], got {value!r}")
+            raise ModelError(f"{prefix}{label} must lie in [0, 1], got {value!r}", column=label)

@@ -132,6 +132,15 @@ BUNDLED_DIGESTS = {
         "out/classicality_manifest.json":
             "5ebe1d2af21fd9ba2b18e34ec9460b825bc822c63e365786395570c908e814b6",
     },
+    ("classicality", "--dataset", "hampton-table3-conjunction", "--out-dir", "out", "--json"): {
+        "stdout": "dd21d63766e2732134ebacd8aa123d87aec556fc5b4833211c4d38fccf9f8b52",
+        "out/classicality.json":
+            "665144a21c4d737c0d7e5ed92115ba6d6f79a1de2d1a8c6953254ea16470282e",
+        "out/classicality.csv":
+            "2a48a1d0bebdfe25e97a7407cbf107784b451bd93bc382c4cee26050c54688e0",
+        "out/classicality_manifest.json":
+            "5cc349cfe95854b459f862bbdd3c2ce6325fc3ddccfd522209c47be7bea7b3d9",
+    },
     ("chsh", "--dataset", "animal-acts-table1", "--json"): {
         "stdout": "81f9daf2567659cfb4cd81622655c7641ebddfabacf990be98a8298ca89f78bd",
     },
@@ -141,7 +150,12 @@ BUNDLED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(BUNDLED_DIGESTS), ids=lambda argv: argv[0])
+def _digest_id(argv):
+    """The verb, and for a Table 3 connective view the view's suffix."""
+    return argv[0] + (argv[2].removeprefix("hampton-table3") if argv[0] == "classicality" else "")
+
+
+@pytest.mark.parametrize("argv", list(BUNDLED_DIGESTS), ids=_digest_id)
 def test_bundled_outputs_keep_their_bytes(run_cli, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)     # fixes the argv and out_dir the manifest records
     code, out, err = run_cli(*argv)
@@ -212,8 +226,10 @@ def _odd_membership_rows():
 
 def _row_tuples(cols):
     """The rows of ``MembershipColumns`` as 7-tuples of str and float."""
-    return list(zip(cols.exemplar, cols.concept_a, cols.concept_b, cols.mu_a.tolist(),
-                    cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective))
+    names = np.array(cols.names, dtype=object)
+    return list(zip(*(names[c].tolist() for c in (cols.exemplar, cols.concept_a, cols.concept_b)),
+                    cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(),
+                    np.where(cols.is_and, "and", "or").tolist()))
 
 
 def _reference_classicality(rows):
@@ -672,17 +688,20 @@ def test_a_plain_table2_input_gives_the_bundled_outputs(run_cli, tmp_path):
 
 @pytest.mark.parametrize("col, cell, message, column", [
     (2, "abc", "muA is not a number: 'abc'", "muA"),
+    (2, "1.5", "Raisin: muA must lie in [0, 1], got 1.5", "muA"),
+    (5, "200", "Raisin: phi must lie in [-180, 180] degrees", "phi_deg"),
     # a quoted name longer than the csv module's field limit
     (1, '"' + "x" * (csv.field_size_limit() + 1) + '"',
      f"malformed CSV: field larger than field limit ({csv.field_size_limit()})", None),
-], ids=["weight-not-a-number", "name-over-the-field-limit"])
+], ids=["weight-not-a-number", "weight-out-of-range", "phi-out-of-range",
+        "name-over-the-field-limit"])
 def test_a_bad_sixth_row_is_a_data_error_at_its_line(run_cli, tmp_path, col, cell, message,
                                                       column):
     # field col of the sixth row (line 7) of Table 2 without its comments
     path = _table2_without_comments(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    fields = lines[6].split(",")
-    lines[6] = ",".join([*fields[:col], cell, *fields[col + 1:]])
+    fields = lines[6].rstrip("\n").split(",")
+    lines[6] = ",".join([*fields[:col], cell, *fields[col + 1:]]) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     code, out, err = run_cli("disjunction-model", "--input", path, "--json")
     assert code == 1 and out == ""
@@ -833,6 +852,14 @@ def test_fock_nan_weight_is_rejected_not_printed(run_cli):
                              "--connective", "and", "--m2", "nan", "--json")
     assert code == 1 and out == ""
     assert "finite" in json.loads(err)["error"]["message"]
+
+
+def test_fock_weight_out_of_range_is_a_model_error_with_no_column(run_cli):
+    code, out, err = run_cli("fock", "--mu-a", 1.5, "--mu-b", 0.5, "--mu-joint", 0.5,
+                             "--connective", "or", "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ModelError",
+                                         "message": "muA must lie in [0, 1], got 1.5"}}
 
 
 def test_exemplar_nan_phase_is_rejected_not_printed(run_cli, tmp_path):

@@ -75,14 +75,14 @@ def test_connective_views_partition_the_full_table():
     full = load_dataset("hampton-table3").rows
     disj = load_dataset("hampton-table3-disjunction").rows
     conj = load_dataset("hampton-table3-conjunction").rows
-    assert disj.connective == ["or"] * 25 and conj.connective == ["and"] * 14
+    assert disj.is_and.tolist() == [False] * 25 and conj.is_and.tolist() == [True] * 14
     # the full table lists the disjunction block first, as published
     assert _column_lists(full.take(list(range(25)))) == _column_lists(disj)
     assert _column_lists(full.take(list(range(25, 39)))) == _column_lists(conj)
 
 
 def test_verbatim_spellings_preserved():
-    names = load_dataset("hampton-table3").rows.exemplar
+    names = load_dataset("hampton-table3").rows.names
     for spelling in ("Underwater", "Appartment Block", "Synagoge", "Hifi",
                      "Course Liner", "Phone box"):
         assert spelling in names
@@ -131,14 +131,16 @@ def test_catalog_is_deterministic():
 def test_parse_membership_basics():
     cols = parse_membership_csv(MEMBERSHIP_TEXT)
     assert len(cols) == 2
-    assert cols.exemplar[0] == "Mint" and cols.connective[0] == "and"
+    assert cols.names[cols.exemplar[0]] == "Mint" and cols.is_and[0]
     assert cols.mu_joint[1] == 0.9
     # a header alone yields empty columns, from the comma split and from the
     # row loop (which a blank line after the header selects)
     header = MEMBERSHIP_TEXT.splitlines()[0]
     for text in (header, header + "\n\n"):
         empty = parse_membership_csv(text)
-        assert len(empty) == 0 and empty.exemplar == []
+        assert len(empty) == 0 and empty.names == []
+        assert all(col.dtype == np.intp and col.shape == (0,)
+                   for col in (empty.exemplar, empty.concept_a, empty.concept_b))
         assert all(col.dtype == float and col.shape == (0,)
                    for col in (empty.mu_a, empty.mu_b, empty.mu_joint))
 
@@ -325,7 +327,7 @@ def _reference_membership(text, source):
         for label, value in zip(("muA", "muB", "muJoint"), values):
             if not (0.0 <= value <= 1.0):
                 raise DataError(f"{source}: {label} must lie in [0, 1], got {value!r}",
-                                line=lineno)
+                                line=lineno, column=label)
         rows.append((*fields[:3], *values, fields[6]))
     if not header_seen:
         raise DataError(f"{source}: missing header row")
@@ -333,12 +335,21 @@ def _reference_membership(text, source):
 
 
 def _column_lists(cols):
-    """Seven lists, weights as float.hex, of ``MembershipColumns`` or of 7-tuple rows."""
+    """Seven lists, weights as float.hex, of ``MembershipColumns`` or of 7-tuple rows.
+
+    Columns have their names decoded, after a check that ``names`` holds each
+    name once and that every code indexes it.
+    """
     if isinstance(cols, list):
         cols = [[r[i] for r in cols] for i in range(7)]
     else:
-        cols = [cols.exemplar, cols.concept_a, cols.concept_b,
-                cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(), cols.connective]
+        codes = (cols.exemplar, cols.concept_a, cols.concept_b)
+        assert len(set(cols.names)) == len(cols.names)
+        assert all(c.dtype == np.intp and ((c >= 0) & (c < len(cols.names))).all() for c in codes)
+        assert cols.is_and.dtype == bool
+        cols = [*([cols.names[i] for i in c.tolist()] for c in codes),
+                cols.mu_a.tolist(), cols.mu_b.tolist(), cols.mu_joint.tolist(),
+                np.where(cols.is_and, "and", "or").tolist()]
     assert all(type(v) is float for col in cols[3:6] for v in col)
     return cols[:3] + [[v.hex() for v in col] for col in cols[3:6]] + cols[6:]
 
@@ -439,7 +450,8 @@ def test_columnar_fast_path_takes_plain_tables_and_declines_the_rest(monkeypatch
     plain = f"# note\n\n{header}\nMint,Food,Plant,0.87,0.81,0.9,and\n A ,B,C,-0.0, 1e-05 ,0,or\n"
     cols = parse_membership_csv(plain)
     assert len(cols) == 2
-    assert cols.exemplar == ["Mint", "A"] and cols.mu_a[1].hex() == "-0x0.0p+0"
+    assert cols.names == ["Mint", "A", "Food", "B", "Plant", "C"]
+    assert cols.exemplar.tolist() == [0, 1] and cols.mu_a[1].hex() == "-0x0.0p+0"
     assert len(parse_membership_csv(header)) == 0
     assert calls == []
     for body in ('"Mint",Food,Plant,0.87,0.81,0.9,and', "Mint,Food,Plant,0.87,0.81,0.9,and\n#",
@@ -514,7 +526,7 @@ def _reference_exemplar(text, source):
         try:
             rows.append(ExemplarRow(index, fields[1], *values))
         except ModelError as exc:
-            raise DataError(f"{source}: {exc}", line=lineno) from None
+            raise DataError(f"{source}: {exc}", line=lineno, column=exc.column) from None
     if names is None:
         raise DataError(f"{source}: missing header row")
     mu = ([getattr(r, f) for r in rows] for f in ("mu_a", "mu_b", "mu_a_or_b"))
