@@ -100,8 +100,8 @@ def _table(text, source, header, row, columns=None, optional=None):
 
     The lines and the joined body stay alive until ``columns`` returns:
     freed before it, they raise glibc's mmap threshold, the columns land on
-    the heap, and a 100k-row classicality call then peaked 6 MB higher in
-    resident memory (181 against 175 MB).
+    the heap, and a 100k-row classicality call then peaked up to 10 MB
+    higher in resident memory (in 3 of 4 checkout paths tried).
     """
     lines = text.splitlines()
     for start, raw in enumerate(lines):
@@ -211,13 +211,15 @@ class _Codes(dict):
 
 
 def _membership_columns(fields, width):
-    # each stripped cell goes straight to its code (a list of stripped names
-    # per column took a 100k-row classicality call from 175 to 196 MB peak
-    # RSS); CONNECTIVES.index raises ValueError on an unknown connective
-    mu, codes = _float_columns(fields, width, (3, 4, 5)), _Codes()
-    exemplar, concept_a, concept_b, connective = (
-        np.fromiter(map(code, map(str.strip, fields[i::width])), np.intp, len(fields) // width)
-        for i, code in zip((0, 1, 2, 6), [codes.__getitem__] * 3 + [CONNECTIVES.index]))
+    # each stripped cell goes straight to its code: lists of stripped names
+    # took a 100k-row classicality call's peak RSS from 175 to 195 MB in 3 of
+    # 4 checkout paths tried. CONNECTIVES.index raises ValueError on a bad one.
+    mu = _float_columns(fields, width, (3, 4, 5))
+    n, codes = len(fields) // width, _Codes()
+    exemplar, concept_a, concept_b = (
+        np.fromiter(map(codes.__getitem__, map(str.strip, fields[i::width])), np.intp, n)
+        for i in (0, 1, 2))
+    connective = np.fromiter(map(CONNECTIVES.index, map(str.strip, fields[6::width])), np.intp, n)
     return MembershipColumns(list(codes), exemplar, concept_a, concept_b, *mu,
                              connective == CONNECTIVES.index("and"))
 

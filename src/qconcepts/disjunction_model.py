@@ -47,8 +47,7 @@ class ExemplarRow:
         check_unit_interval((("muA", self.mu_a), ("muB", self.mu_b), ("muAorB", self.mu_a_or_b)),
                             prefix=f"{self.name}: ")
         if self.phi_deg is not None and not (abs(self.phi_deg) <= 180.0):
-            raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees",
-                             column="phi_deg")
+            raise ModelError(f"{self.name}: phi must lie in [-180, 180] degrees", column="phi_deg")
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,8 +43,7 @@ class DataError(ModelError):
 
 
 def check_unit_interval(pairs, prefix: str = ""):
-    """Raise ModelError, with the label as its column, unless every (label,
-    value) pair lies in [0, 1].
+    """Raise ModelError (its column the label) unless every (label, value) pair lies in [0, 1].
 
     NaN fails the check too. ``prefix`` leads the message, e.g. an exemplar
     name.
