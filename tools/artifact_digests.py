@@ -87,6 +87,9 @@ def _calls(inputs: Path) -> list:
         ["classicality", "--dataset", "hampton-table3-conjunction"],
         ["classicality", "--dataset", "hampton-table3-disjunction"],
         ["classicality", "--input", str(inputs / "membership-shared.csv")],
+        # raster CSV text of 21,000 lines per pattern: 11 rows per 8192-line
+        # block, so two whole blocks and a partial last one
+        ["wavefield", *table2, "--grid", "700x30", "--format", "csv"],
     ]
 
 
