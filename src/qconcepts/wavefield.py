@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import itertools
 import json
 import os
@@ -59,6 +60,7 @@ _SCAN_POINTS = 512          # width-fit scan resolution
 _CURVE_SAMPLES = 2048       # samples along a level curve for min/max scans
 _ROOT_SAMPLES = 4096        # samples along a level curve for root bracketing
 _BLOCK_PIXELS = 1 << 16     # float64 pixels per raster row block (512 KB)
+_CSV_LINES = 8192           # raster CSV lines built per block of text
 
 
 class GridKind(enum.Enum):
@@ -533,6 +535,73 @@ def evaluate_patterns(config: WaveFieldConfig, phase: PhasePolynomial, grid=DEFA
             for kind, values in zip(GridKind, (i_a, i_b, superposed, classical))}
 
 
+def _words(texts, width=None):
+    """Byte strings as rows of NUL-padded 8-byte words, as wide as the longest."""
+    width = width or -(-max(map(len, texts)) // 8) * 8
+    return np.array(texts, dtype=f"S{width}").view(np.uint64).reshape(len(texts), -1)
+
+
+@functools.cache
+def _g9_tables():
+    """_csv_text's tables, by a value's decimal exponent e (at e + 300), its
+    3-digit groups g and whether a nonzero digit follows group j (later):
+    pow10[k + 293] is the double nearest 10**k; sign[neg * 601 + e + 300] and
+    suffix[e + 300] the texts around the digits; digits[code[j, e + 300] +
+    later * 5000 + g] the text of group j."""
+    later, c, g, k = np.ix_(range(2), range(-1, 4), range(1000), range(8))
+    q = np.maximum(c, 0)    # digits before the point: c, or none at c = -1
+    end = np.where(later, 3, np.maximum(3 - sum(g % 10 ** j == 0 for j in (1, 2, 3)), q))
+    dot = (c >= 0) & (c < 3) & (end > q)    # a '.' before digit q
+    i = k - (dot & (k > q))                 # the digit written at byte k
+    digit = np.where(i < end, g // 10 ** (2 - np.minimum(i, 2)) % 10 + ord("0"), 0)
+    e = np.arange(-300, 301)
+    point = np.where((e < -4) | (e > 8), 1, np.where(e < 0, -1, e + 1))    # digits before it
+    head = [b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in e.tolist()]
+    return (np.array([float(f"1e{k}") for k in range(-293, 309)]),
+            _words(head + [b"-" + h for h in head]).ravel(),
+            (np.clip(point - [[0], [3], [6]], -1, 3) + 1) * 1000,
+            np.where(dot & (k == q), ord("."), digit).astype(np.uint8).view(np.uint64).ravel(),
+            _words([b"\n" if -4 <= x < 9 else b"e%+03d\n" % x for x in e.tolist()]).ravel())
+
+
+def _csv_text(values, xw, yw):
+    """The CSV text of a block of raster rows: each line's x and y texts
+    (given as words) and '%.9g' % value, as NUL-padded words (see _words),
+    written out without the NULs.
+
+    A finite |value| in [1e-300, 1e300] is scaled by a correctly rounded power
+    of ten into [1e8, 1e9), the exponent taken from log10 and corrected by the
+    scaled value. That lies within 2.3e-7 of the exact product, so rint rounds
+    it right unless it lies within 1e-5 of a half: those, and non-finite and
+    extreme values, are formatted by Python. A zero is written as 0 or -0.
+    """
+    pow10, sign, code, digits, suffix = _g9_tables()
+    lines = np.empty((*values.shape, xw.shape[1] + yw.shape[1] + 5), np.uint64)
+    lines[..., :xw.shape[1]] = xw
+    lines[..., xw.shape[1]:-5] = yw[:, None]
+    out, v = lines[..., -5:].reshape(-1, 5), values.ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    ok = (a >= 1e-300) & (a <= 1e300) | zero
+    a[~ok | zero] = 1.0
+    e = np.clip(np.floor(np.log10(a)), -299, 300).astype(np.intp)
+    s = a * pow10[301 - e]
+    e += (s >= 1e9) * 1 - (s < 1e8)     # log10 may miss by one
+    m = np.rint(np.multiply(a, pow10[301 - e], out=s))
+    ok &= np.abs(s - m) < 0.5 - 1e-5
+    e += (m == 1e9) + 300               # m rounds up into the next decade
+    m[m == 1e9] = 1e8
+    m[zero] = 0.0                       # "0", signed by the sign bit
+    m = m.astype(np.intp)
+    out[:, 0] = sign[np.signbit(v) * 601 + e]
+    for j, later in enumerate((m % 1000000 > 0, m % 1000 > 0, 0)):
+        out[:, j + 1] = digits[code[j][e] + later * 5000 + m // 1000 ** (2 - j) % 1000]
+    out[:, 4] = suffix[e]
+    if not ok.all():
+        out[~ok] = _words([b"%.9g\n" % x for x in v[~ok].tolist()], 40)
+    return lines.tobytes().translate(None, b"\0")
+
+
 def atomic_write(path, chunks):
     """Write a sequence of byte chunks to a temp file beside ``path``, then
     rename it into place.
@@ -563,21 +632,20 @@ def atomic_write(path, chunks):
 def export_grid(pattern: GridPattern, path: str, fmt: str):
     """Write one pattern to disk; returns the list of files written.
 
-    csv: `x,y,value` rows in row-major order (y outer, x inner), 9
-    significant digits. pgm: binary 16-bit graymap, min-max normalized,
-    with extent and normalization bounds in a sidecar JSON next to it.
+    csv: `x,y,value` rows in row-major order (y outer, x inner), each number
+    as '%.9g' writes it, built _CSV_LINES lines at a time (see _csv_text).
+    pgm: binary 16-bit graymap, min-max normalized, with extent and
+    normalization bounds in a sidecar JSON next to it.
     Writes go to a temp file first and are renamed into place.
     """
     xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
     ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
     if fmt == "csv":
-        # a row's text is its "y," joined between the pieces, then one
-        # %-format of its values ('%.9g' writes what '{:.9g}' does)
-        xcol = [f"{x:.9g}," for x in xs.tolist()]
-        pieces = xcol[:1] + [f"%.9g\n{x}" for x in xcol[1:]] + ["%.9g\n"]
-        rows = (f"{y:.9g},".join(pieces) % tuple(row.tolist())
-                for y, row in zip(ys.tolist(), pattern.values))
-        atomic_write(path, map(str.encode, itertools.chain(["x,y,value\n"], rows)))
+        xw, yw = (_words([b"%.9g," % c for c in axis.tolist()]) for axis in (xs, ys))
+        step = max(1, _CSV_LINES // pattern.nx)
+        blocks = (_csv_text(pattern.values[i:i + step], xw, yw[i:i + step])
+                  for i in range(0, pattern.ny, step))
+        atomic_write(path, itertools.chain([b"x,y,value\n"], blocks))
         return [path]
     if fmt == "pgm":
         values = pattern.values

@@ -29,6 +29,7 @@ from qconcepts.wavefield import (
     INTENSITY_TOL,
     MARGIN_FLOOR,
     _BLOCK_PIXELS,
+    _CSV_LINES,
     _CURVE_SAMPLES,
     _ROOT_SAMPLES,
     _SCAN_POINTS,
@@ -779,19 +780,66 @@ def _edge_values_pattern():
     return GridPattern(3, 3, (-1.0, 1.0, -0.5, 1e-05), values, GridKind.SUPERPOSED)
 
 
+def _values_pattern(values, nx, extent=DEFAULT_EXTENT):
+    values = np.asarray(values, dtype=float).reshape(-1, nx)
+    return GridPattern(nx, len(values), extent, values, GridKind.SUPERPOSED)
+
+
+def _rounding_edge_patterns():
+    rng = np.random.default_rng(22)
+    # 10-digit decimals ending in 5: each lies within about 1e-7 of a half
+    # once scaled to 9 digits, on either side of it or on it
+    ties = [float(f"{m}5e{x}") for m, x in zip(rng.integers(10 ** 8, 10 ** 9, 3000).tolist(),
+                                               rng.integers(-320, 300, 3000).tolist())]
+    # 999999999 and a tenth digit: rounds up into the next decade, across the
+    # fixed/exponent bounds at 1e-4 and 1e9 among others
+    carries = [float(f"999999999{d}e{x}") for d in range(5, 10) for x in range(-25, 12)]
+    carries += [9.9999999995e-5, 99999.99995, 999999999.5]
+    # more lines than one block: whole blocks and a partial last one, and a
+    # row longer than a block
+    nx = _CSV_LINES // 8 + 24
+    ny = 2 * (_CSV_LINES // nx) + 3
+    wide = _CSV_LINES + 808
+    scattered = rng.standard_normal((ny * nx + 2 * wide)) * 10.0 ** rng.uniform(-9, 12, ny * nx + 2 * wide)
+    return [_values_pattern(np.concatenate([ties, np.negative(ties)]), 6000),
+            _values_pattern(carries, len(carries)),
+            _values_pattern(scattered[:ny * nx], nx),
+            _values_pattern(scattered[ny * nx:], wide)]
+
+
 def test_export_csv_matches_per_pixel_format(tmp_path, table2):
     _, config, _, poly = table2
     patterns = list(evaluate_patterns(config, poly, grid=(7, 13)).values())
     patterns += list(evaluate_patterns(config, poly, grid=(2, 2)).values())
-    patterns.append(_edge_values_pattern())
+    edge = len(patterns)
+    patterns += [_edge_values_pattern(), *_rounding_edge_patterns()]
     for i, pattern in enumerate(patterns):
         path = tmp_path / f"{i}.csv"
         export_grid(pattern, str(path), fmt="csv")
         assert path.read_bytes() == _csv_reference(pattern), (i, pattern.kind)
-    text = (tmp_path / f"{len(patterns) - 1}.csv").read_text()
+    text = (tmp_path / f"{edge}.csv").read_text()
     assert text.split("\n")[1:7] == ["-1,-0.5,1e-05", "0,-0.5,-0", "1,-0.5,inf",
                                       "-1,-0.249995,nan", "0,-0.249995,-inf",
                                       "1,-0.249995,0"]
+    # 999999999.5 ties to even
+    assert (tmp_path / f"{edge + 2}.csv").read_text().endswith(",1e+09\n")
+
+
+_EXTENT_ENDS = st.floats(-1e300, 1e300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(values=np.array([[5e-324, -0.0, 0.0, np.inf], [-np.inf, np.nan, 2.2e-308, 1.8e308]]),
+         extent=(-1.0, 1.0, -0.5, 1e-05))
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 8)),
+                    elements=st.floats(width=64)),
+       extent=st.tuples(_EXTENT_ENDS, _EXTENT_ENDS, _EXTENT_ENDS, _EXTENT_ENDS))
+def test_export_csv_matches_per_pixel_format_on_any_doubles(tmp_path_factory, values, extent):
+    # whole-range doubles: subnormals, zeros of both signs, inf and nan among them
+    pattern = _values_pattern(values, values.shape[1], extent)
+    path = tmp_path_factory.mktemp("csv") / "drawn.csv"
+    export_grid(pattern, str(path), fmt="csv")
+    assert path.read_bytes() == _csv_reference(pattern)
 
 
 def test_export_csv_layout(tmp_path, table2):
@@ -945,11 +993,9 @@ _EXP_BITS = ("import hashlib, numpy as np; print(hashlib.sha256("
              "np.exp(np.linspace(-30.0, 3.0, 257)).tobytes()).hexdigest())")
 
 
-def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
-    # numpy picks its exp, log and arccos kernels by CPU feature at run time,
-    # and their last bits differ between kernels: artifact bytes belong to one
-    # numpy build on one CPU feature set. The census and residual bounds must
-    # hold under either, here with numpy's AVX-512 group (X86_V4) switched off
+def _other_dispatch_env():
+    """Environment for a child process with numpy's AVX-512 group (X86_V4)
+    switched off; skips unless numpy accepts that and np.exp then changes."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
                PYTHONPATH=str(Path(qconcepts.__file__).parents[1]))
     probe = subprocess.run([sys.executable, "-c", _EXP_BITS], capture_output=True, text=True,
@@ -959,6 +1005,15 @@ def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
     here = hashlib.sha256(np.exp(np.linspace(-30.0, 3.0, 257)).tobytes()).hexdigest()
     if probe.stdout.strip() == here:
         pytest.skip("np.exp takes the same kernel with X86_V4 off on this CPU")
+    return env
+
+
+def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
+    # numpy picks its exp, log and arccos kernels by CPU feature at run time,
+    # and their last bits differ between kernels: artifact bytes belong to one
+    # numpy build on one CPU feature set. The census and residual bounds must
+    # hold under either, here with numpy's AVX-512 group (X86_V4) switched off
+    env = _other_dispatch_env()
     proc = subprocess.run(
         [sys.executable, "-m", "qconcepts.cli", "wavefield", "--dataset",
          "fruits-vegetables-table2", "--out-dir", str(tmp_path), "--json"],
@@ -970,3 +1025,16 @@ def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
         assert residuals[name] <= 1e-6, name
     assert (residuals["constructive_pixels"], residuals["destructive_pixels"]) == (130883, 131261)
     assert params["clamp_count"] == 0
+
+
+def test_export_csv_matches_per_pixel_format_under_another_numpy_cpu_dispatch():
+    # the raster CSV text takes only a first guess of each exponent from
+    # log10, whose kernel follows the CPU features; its bytes must not
+    tests = [f"{__file__}::{name}" for name in (
+        "test_export_csv_matches_per_pixel_format",
+        "test_export_csv_matches_per_pixel_format_on_any_doubles")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          capture_output=True, text=True, env=_other_dispatch_env(),
+                          cwd=Path(__file__).parents[1], check=False)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "2 passed" in proc.stdout
