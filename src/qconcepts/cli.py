@@ -394,6 +394,9 @@ def _grid_spec(text: str):
 
 
 def _cmd_wavefield(args, argv) -> int:
+    nx, ny = args.grid
+    if nx * ny > wavefield.MAX_GRID_PIXELS:     # refused before any table is read
+        raise ModelError(f"grid {nx}x{ny} is too large to allocate")
     rows = _dataset_rows(args, "exemplar")
     model = disjunction_model.build_model(rows)
     config = wavefield.default_config(rows)

@@ -55,6 +55,7 @@ DEFAULT_EXTENT = (-15.0, 25.0, -15.0, 20.0)    # every raster's window
 # B's centre; it must lie off both coordinate axes for the width fit
 CENTER_B = (10.0, 4.0)
 DEFAULT_GRID = (512, 512)
+MAX_GRID_PIXELS = 1 << 26   # 8192x8192: 2.3 GB at the measured 34 bytes a pixel
 
 _SCAN_POINTS = 512          # width-fit scan resolution
 _CURVE_SAMPLES = 2048       # samples along a level curve for min/max scans

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qconcepts
-from qconcepts import classicality, cli, datasets, disjunction_model
+from qconcepts import classicality, cli, datasets, disjunction_model, wavefield
 
 COUNTS_CSV = """\
 experiment,outcome11,outcome12,outcome21,outcome22
@@ -924,6 +924,23 @@ def test_oversize_grid_is_a_json_model_error(run_cli, tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {
         "type": "ModelError", "message": f"grid 2x{2 ** 62} is too large to allocate"}}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_over_the_pixel_limit_is_refused_before_any_work(run_cli, tmp_path, monkeypatch):
+    # a table load or a raster allocation would fail the test; a grid this
+    # size is never allocated here, since it may fit in memory or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid over the limit reached past the check")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(cli, "_dataset_rows", refuse)
+    nx, ny = 8192, wavefield.MAX_GRID_PIXELS // 8192 + 1
+    code, out, err = run_cli("wavefield", "--dataset", "fruits-vegetables-table2",
+                             "--grid", f"{nx}x{ny}", "--out-dir", tmp_path, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ModelError", "message": f"grid {nx}x{ny} is too large to allocate"}}
     assert list(tmp_path.iterdir()) == []
 
 
