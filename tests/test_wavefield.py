@@ -800,7 +800,8 @@ def _rounding_edge_patterns():
     nx = _CSV_LINES // 8 + 24
     ny = 2 * (_CSV_LINES // nx) + 3
     wide = _CSV_LINES + 808
-    scattered = rng.standard_normal((ny * nx + 2 * wide)) * 10.0 ** rng.uniform(-9, 12, ny * nx + 2 * wide)
+    count = ny * nx + 2 * wide
+    scattered = rng.standard_normal(count) * 10.0 ** rng.uniform(-9, 12, count)
     return [_values_pattern(np.concatenate([ties, np.negative(ties)]), 6000),
             _values_pattern(carries, len(carries)),
             _values_pattern(scattered[:ny * nx], nx),
