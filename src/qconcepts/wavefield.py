@@ -200,7 +200,7 @@ def _cos_phase(phi, out=None):
 
 def _log_ratios(amplitude, mu, label):
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
+    if not np.all(mu > 0):
         raise ModelError(f"{label} weights must be positive to take log ratios")
     if amplitude < mu.max():
         raise ModelError(f"peak amplitude {amplitude!r} below max {label} weight")
@@ -412,12 +412,16 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
     singular or ill-conditioned system falls back to a minimum-norm least
     squares fit over the 30 lowest monomials, flagged on the result; for
     n >= 30 those are the square system's own monomials, so the fit fails.
+    Both take one rule: the first fit within PHASE_FIT_TOL of every phase is
+    returned. Non-finite positions or phases are refused before any solve.
     """
     pos = np.asarray(positions, dtype=float)
     phi = np.asarray(phases, dtype=float)
     n = pos.shape[0]
     if pos.shape != (n, 2) or phi.shape != (n,):
         raise ModelError("positions must be (n, 2) and phases length n")
+    if not (np.isfinite(pos).all() and np.isfinite(phi).all()):
+        raise ModelError("positions and phases must be finite")
     if n == 0:
         raise ModelError("need at least one position")
     seen = {}
@@ -428,31 +432,20 @@ def fit_phase_field(positions, phases) -> PhasePolynomial:
         seen[key] = i
     scale = max(float(np.max(np.abs(pos))), 1.0)
     scaled = pos / scale
-
-    def build(mons):
-        return np.column_stack([scaled[:, 0] ** mx * scaled[:, 1] ** my for mx, my in mons])
-
-    def to_poly(mons, coefs, fallback):
-        terms = tuple(
-            (mx, my, float(c / scale ** (mx + my))) for (mx, my), c in zip(mons, coefs)
-        )
-        return PhasePolynomial(terms, fallback_used=fallback)
-
-    def fit(mons, solve, fallback):
-        poly = to_poly(mons, solve(build(mons), phi), fallback)
-        return poly, np.max(np.abs(poly.evaluate(pos[:, 0], pos[:, 1]) - phi))
-
-    try:
-        poly, resid = fit(lowest_monomials(n), np.linalg.solve, False)
-        if resid <= PHASE_FIT_TOL:
-            return poly
-        failure = f"residual {float(resid)!r} rad"
-    except np.linalg.LinAlgError:
-        failure = f"singular {n}x{n} system"
+    attempts = [(lowest_monomials(n), np.linalg.solve)]
     if n < 30:
-        poly, resid = fit(lowest_monomials(30),
-                          lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], True)
-        if not resid > PHASE_FIT_TOL:
+        attempts.append((lowest_monomials(30), lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]))
+    for attempt, (mons, solve) in enumerate(attempts):
+        try:
+            coefs = solve(np.column_stack(
+                [scaled[:, 0] ** mx * scaled[:, 1] ** my for mx, my in mons]), phi)
+        except np.linalg.LinAlgError:
+            failure = f"singular {n}x{n} system"
+            continue
+        terms = ((mx, my, float(c / scale ** (mx + my))) for (mx, my), c in zip(mons, coefs))
+        poly = PhasePolynomial(tuple(terms), fallback_used=attempt > 0)
+        resid = np.max(np.abs(poly.evaluate(pos[:, 0], pos[:, 1]) - phi))
+        if resid <= PHASE_FIT_TOL:
             return poly
         failure = f"residual {float(resid)!r} rad"
     raise ModelError(f"phase field interpolation failed: {failure}")

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -953,3 +954,56 @@ def test_column_sum_error_prints_a_plain_float(run_cli, tmp_path, verb):
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["message"] == \
         "muA column sums to 1.3; not a choose-one experiment"
+
+
+# cells the argv fuzz puts in place of Table 2's: non-finite, extreme, signed
+# zero, out of range and not a number
+FUZZ_CELLS = ("nan", "inf", "5e-324", "1e308", "-0.0", "-1", "2", "abc", "")
+
+
+def _fuzz_argv(rng, verb, lines, tmp_path, case):
+    """One seeded argv for verb: a table of 1-6 Table 2 rows (fock: one row's
+    weights) with up to two cells replaced from FUZZ_CELLS."""
+    rows = [line.split(",") for line in rng.sample(lines[1:], rng.randint(1, 6))]
+    if verb == "fock":
+        rows = [rows[0][2:5]]       # muA, muB, muAorB
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_CELLS)
+    flags = ("--json",) if rng.random() < 0.5 else ()
+    if verb == "fock":
+        mu_a, mu_b, mu_or = rows[0]
+        return ("fock", "--mu-a", mu_a, "--mu-b", mu_b, "--mu-joint", mu_or,
+                "--connective", "or", *flags)
+    path = tmp_path / f"{case}.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in [lines[0].split(","), *rows]),
+                    encoding="utf-8")
+    if verb == "disjunction-model":
+        return verb, "--input", path, *flags
+    grid = f"{rng.randint(2, 64)}x{rng.randint(2, 64)}"
+    return (verb, "--input", path, "--grid", grid, "--format", rng.choice(("pgm", "csv")),
+            "--out-dir", tmp_path / str(case), *flags)
+
+
+@pytest.mark.parametrize("verb", ["fock", "disjunction-model", "wavefield"])
+def test_argv_fuzz_keeps_the_cli_contract(capfd, tmp_path, verb):
+    # exit 0 with nothing on stderr, 1 with one JSON error object on stderr,
+    # or 2 for a usage error; any other exception fails the test. capfd also
+    # holds what native code (LAPACK, say) prints on file descriptor 2
+    lines = _table2_without_comments(tmp_path).read_text(encoding="utf-8").splitlines()
+    rng = random.Random(f"argv fuzz {verb}")
+    codes = Counter()
+    for case in range(100):
+        argv = [str(a) for a in _fuzz_argv(rng, verb, lines, tmp_path, case)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capfd.readouterr().err
+        codes[code] += 1
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert err == "", argv
+        elif code == 1:
+            assert list(json.loads(err, parse_constant=_reject_constant)) == ["error"], argv
+    assert codes[0] > 0, codes

@@ -97,6 +97,18 @@ def test_default_config_width_pins(table2):
     assert config.center_b == (10.0, 4.0)
 
 
+@pytest.mark.parametrize("row", [7, 5])    # Apple, the muA peak, and Raisin
+def test_a_nan_weight_is_refused_by_the_width_fit_and_the_placement(table2, row):
+    rows, config, _, _ = table2
+    mu_a = rows.mu_a.copy()
+    mu_a[row] = np.nan
+    bad = dataclasses.replace(rows, mu_a=mu_a)
+    with pytest.raises(ModelError, match="muA weights must be positive"):
+        default_config(bad)
+    with pytest.raises(ModelError, match="muA weights must be positive"):
+        place_exemplars(bad, config)
+
+
 def test_peak_rows_anchor_the_two_centers(table2):
     rows, config, _, _ = table2
     ia = int(np.argmax([r.mu_a for r in rows]))
@@ -518,6 +530,28 @@ def test_fit_phase_field_singular_square_system_at_30_points_fails_without_lstsq
     with pytest.raises(ModelError, match=r"interpolation failed: residual"):
         fit_phase_field(positions[:29], np.sin(np.arange(29.0)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("positions, phases", [
+    ([(0.0, 0.0), (1.0, 1.0)], [np.nan, 0.2]),
+    ([(0.0, 0.0), (1.0, 1.0)], [0.1, np.inf]),
+    ([(0.0, 0.0), (1.0, np.nan)], [0.1, 0.2]),
+])
+def test_fit_phase_field_refuses_non_finite_input_before_any_solve(capfd, positions, phases):
+    # a NaN position reaching LAPACK would print a parameter error on stderr
+    with pytest.raises(ModelError, match="positions and phases must be finite"):
+        fit_phase_field(positions, phases)
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_phase_field_lstsq_failure_is_a_model_error(monkeypatch):
+    # the shared-y pair of the fallback test, with the fallback solver failing too
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    with pytest.raises(ModelError, match=r"interpolation failed: singular 2x2 system"):
+        fit_phase_field([(0.0, 1.0), (2.0, 1.0)], [0.4, 0.9])
 
 
 def test_phase_polynomial_scalar_and_array_evaluate():
