@@ -27,6 +27,7 @@ import numpy as np
 
 BLOCKS = {"AB": "4,51,21,5", "A'B": "63,7,7,4", "AB'": "48,2,24,7", "A'B'": "12,7,8,54"}
 ONE = "0.5,0,0,0.5"         # E = 1
+WIDTH_FIT_TABLES = ((1, 5), (3, 30), (1, 8))    # (seed, n) of perfbench exemplar tables
 COINCIDENCE_FILES = {       # name -> rows under the experiment header
     "duplicate": [*BLOCKS.items(), ("AB", BLOCKS["AB"])],
     "missing": list(BLOCKS.items())[:2],
@@ -90,6 +91,11 @@ def _calls(inputs: Path) -> list:
         # raster CSV text of 21,000 lines per pattern: 11 rows per 8192-line
         # block, so two whole blocks and a partial last one
         ["wavefield", *table2, "--grid", "700x30", "--format", "csv"],
+        # the width fit's outcomes Table 2 never reaches: the top scanned
+        # width is eligible; no width reaches MARGIN_FLOOR, so the best
+        # scanned one is used; no width assignment exists
+        *(["wavefield", "--input", str(inputs / f"exemplars-{seed}-{n}.csv"), "--grid", "64x48"]
+          for seed, n in WIDTH_FIT_TABLES),
     ]
 
 
@@ -151,6 +157,8 @@ def main(root: str) -> None:
         shared[5][0], shared[6][2] = f"  {shared[5][0]} ", f" {shared[6][2]}  "
         (inputs / "membership-shared.csv").write_text("".join(map(",".join, shared)))
         exemplars = workloads.exemplar_csv(1)[0]
+        for seed, n in WIDTH_FIT_TABLES:
+            (inputs / f"exemplars-{seed}-{n}.csv").write_bytes(workloads.exemplar_csv(seed, n)[0])
         (inputs / "exemplars.csv").write_bytes(exemplars)
         (inputs / "exemplars-quoted.csv").write_bytes(exemplars.replace(b",x0010,", b',"x0010",'))
         # the same kind of table with a seeded signed angle on every row
