@@ -321,6 +321,13 @@ def _fit_widths(rows):
     as round as the data allows while every level-curve pair intersects
     robustly. Fully circular B is infeasible for data whose mid-weight rows
     have short level-curve radii, hence the free axis.
+
+    The scan runs down from the top of its grid to the first eligible width
+    (with none, every margin is known and the best is used). A margin reads
+    only each row's two Pareto fronts in (p_sq, q_sq): u, v > 0 and rounding
+    is monotone, so a sample that another beats in both (both <=, or both
+    >=) is never the row's minimum (maximum) of g. The bisection stops once
+    mid == lo, as neither branch then moves lo; at mid == hi lo can still rise.
     """
     mu_a, mu_b = rows.mu_a, rows.mu_b
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
@@ -341,39 +348,50 @@ def _fit_widths(rows):
     r_o, lb_o = r_a[others, None], lb[others]
     p_sq = (r_o * np.cos(t) - a) ** 2
     q_sq = (r_o * np.sin(t) - b) ** 2
-    g, vq = np.empty_like(p_sq), np.empty_like(q_sq)    # reused by every call
+    order = np.argsort(p_sq, axis=1, kind="stable")
+    p_sq, q_sq = np.take_along_axis(p_sq, order, 1), np.take_along_axis(q_sq, order, 1)
+    low, high = np.ones_like(p_sq, dtype=bool), np.ones_like(p_sq, dtype=bool)
+    low[:, 1:] = q_sq[:, 1:] < np.minimum.accumulate(q_sq, axis=1)[:, :-1]
+    high[:, :-1] = q_sq[:, :-1] > np.maximum.accumulate(q_sq[:, ::-1], axis=1)[:, -2::-1]
+    # the lower fronts, then the upper ones, each row's samples contiguous
+    p_f, q_f = (np.concatenate((s[low], s[high])) for s in (p_sq, q_sq))
+    sizes = np.concatenate((low.sum(axis=1), high.sum(axis=1)))
+    starts, split, m = np.cumsum(sizes) - sizes, int(low.sum()), len(others)
+    g, vq = np.empty_like(p_f), np.empty_like(q_f)      # reused by every call
 
     def worst_margin(u):
         v = (lb[ia] - a ** 2 * u) / b ** 2
         if v <= 0.0:
             return -np.inf
-        np.multiply(u, p_sq, out=g)
-        np.multiply(v, q_sq, out=vq)
+        np.multiply(u, p_f, out=g)
+        np.multiply(v, q_f, out=vq)
         np.add(g, vq, out=g)
-        return min(np.min(lb_o - g.min(axis=1), initial=np.inf),
-                   np.min(g.max(axis=1) - lb_o, initial=np.inf))
+        return min(np.min(lb_o - np.minimum.reduceat(g[:split], starts[:m]), initial=np.inf),
+                   np.min(np.maximum.reduceat(g, starts[m:]) - lb_o, initial=np.inf))
 
     grid = [u_max * (i + 0.5) / _SCAN_POINTS for i in range(_SCAN_POINTS)]
-    margins = [worst_margin(u) for u in grid]
-    eligible = [i for i, m in enumerate(margins) if m >= MARGIN_FLOOR]
-    if eligible:
-        i0 = max(eligible)
-        lo = grid[i0]
-        hi = grid[i0 + 1] if i0 + 1 < _SCAN_POINTS else u_max
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if worst_margin(mid) >= MARGIN_FLOOR:
-                lo = mid
-            else:
-                hi = mid
-        u_star = lo
+    margins = np.empty(_SCAN_POINTS)
+    for i0 in reversed(range(_SCAN_POINTS)):
+        margins[i0] = worst_margin(grid[i0])
+        if margins[i0] >= MARGIN_FLOOR:
+            lo = grid[i0]
+            hi = grid[i0 + 1] if i0 + 1 < _SCAN_POINTS else u_max
+            break
     else:
         best = int(np.argmax(margins))
         if margins[best] <= 0.0:
-            raise PlacementError(
-                "circles disjoint: no width assignment intersects every level-curve pair"
-            )
-        u_star = grid[best]
+            raise PlacementError("circles disjoint: no width assignment intersects"
+                                 " every level-curve pair")
+        lo = hi = grid[best]        # the bisection below stops at once
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo:
+            break
+        if worst_margin(mid) >= MARGIN_FLOOR:
+            lo = mid
+        else:
+            hi = mid
+    u_star = lo
     v_star = (lb[ia] - a ** 2 * u_star) / b ** 2
     return sigma_a, 1.0 / np.sqrt(2.0 * u_star), 1.0 / np.sqrt(2.0 * v_star), ia, ib
 

@@ -21,7 +21,7 @@ import qconcepts
 from conftest import exemplar_columns
 from qconcepts import wavefield
 from qconcepts.datasets import load_dataset
-from qconcepts.disjunction_model import ExemplarRow, build_model
+from qconcepts.disjunction_model import ExemplarColumns, ExemplarRow, build_model
 from qconcepts.errors import ModelError, PlacementError
 from qconcepts.wavefield import (
     CENTER_B,
@@ -293,13 +293,16 @@ def test_width_fit_requires_distinct_peaks_and_offset_center():
 def _fit_widths_loop(rows, scan=None):
     """Reference width fit: every margin recomputes each row's curve from t.
     A dict ``scan`` receives the scanned widths' worst margins."""
-    mu_a = np.array([r.mu_a for r in rows])
-    mu_b = np.array([r.mu_b for r in rows])
+    mu_a, mu_b = rows.mu_a, rows.mu_b
     ia, ib = int(np.argmax(mu_a)), int(np.argmax(mu_b))
+    if ia == ib:
+        raise PlacementError("width fit needs distinct peak rows for the two concepts")
     a, b = CENTER_B
     d = np.hypot(a, b)
     la = _log_ratios(float(mu_a[ia]), mu_a, "muA")
     lb = _log_ratios(float(mu_b[ib]), mu_b, "muB")
+    if la[ib] <= 0 or lb[ia] <= 0:
+        raise PlacementError("anchor rows must differ in weight from the peaks")
     sigma_a = d / np.sqrt(2.0 * la[ib])
     r_a = sigma_a * np.sqrt(2.0 * la)
     u_max = lb[ia] / a ** 2
@@ -370,6 +373,51 @@ def test_width_fit_matches_per_row_loop(table2):
         _fit_widths_loop(pert)
     with pytest.raises(PlacementError, match="no width assignment"):
         _fit_widths(pert)
+
+
+def _dirichlet_table(seed, n):
+    """The exemplar table perfbench's ``exemplar_csv(seed, n)`` writes, as
+    columns: flat Dirichlet muA and muB, and muAorB by the Born relation for
+    a phase drawn from [0, pi]."""
+    rng = np.random.default_rng(seed)
+    mu_a, mu_b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    phi = rng.uniform(0.0, np.pi, n)
+    mu_or = np.maximum(0.5 * (mu_a + mu_b) + np.sqrt(mu_a * mu_b) * np.cos(phi), 0.0)
+    return ExemplarColumns(list(range(1, n + 1)), [f"x{i:04d}" for i in range(1, n + 1)],
+                           mu_a, mu_b, mu_or, None)
+
+
+def _fit_or_error(fit, rows):
+    try:
+        return fit(rows)
+    except PlacementError as exc:
+        return str(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.tuples(st.just("seeded"), st.integers(0, 2 ** 32 - 1), st.integers(3, 12)),
+                 st.tuples(st.just("table2"), st.integers(0, 2 ** 32 - 1),
+                           st.sampled_from((0.02, 0.1, 0.18, 0.3)))))
+# tables where the last sample of some row's front sets that row's extreme of g
+@example(("seeded", 42, 5))
+@example(("seeded", 37, 12))
+def test_width_fit_matches_per_row_loop_on_drawn_tables(table2, draw):
+    kind, seed, size = draw
+    rows = _dirichlet_table(seed, size) if kind == "seeded" else _perturbed(table2[0], seed, size)
+    assert _fit_or_error(_fit_widths, rows) == _fit_or_error(_fit_widths_loop, rows)
+
+
+@pytest.mark.parametrize("seed, n", [(9, 30), (10, 12)])
+def test_width_fit_bisects_up_to_u_max_from_the_top_grid_width(seed, n):
+    # the top scanned width is eligible, so the bisection's bracket ends at
+    # u_max, and lo climbs up to it: a search that stops once mid == hi
+    # returns a smaller u_B here
+    rows, scan = _dirichlet_table(seed, n), {}
+    fit = _fit_widths(rows)
+    assert fit == _fit_widths_loop(rows, scan)
+    assert scan["margins"][-1] >= MARGIN_FLOOR
+    lb_peak = np.log(rows.mu_b.max() / rows.mu_b[fit[3]])
+    assert fit[1] == pytest.approx(1.0 / np.sqrt(2.0 * lb_peak / CENTER_B[0] ** 2), rel=1e-12)
 
 
 def _place_exemplars_loop(rows, config):
