@@ -105,11 +105,13 @@ def build_c3_vectors(mu_a: float, mu_b: float, beta: float):
             "C3 construction inapplicable: requires muA > 0 and muA + muB >= 1 "
             f"(got muA={mu_a!r}, muA+muB={mu_a + mu_b!r})"
         )
+    # muA + muB - 1, 0 if the sum rounds up to 1; below muA = 1/2, 1 - muB is exact
+    joint = mu_a + mu_b - 1.0 if mu_a >= 0.5 else max(mu_a - (1.0 - mu_b), 0.0)
     vec_a = np.array([np.sqrt(mu_a), 0.0, np.sqrt(1.0 - mu_a)], dtype=complex)
     vec_b = np.exp(1j * beta) * np.array(
         [
             np.sqrt((1.0 - mu_a) * (1.0 - mu_b) / mu_a),
-            np.sqrt((mu_a + mu_b - 1.0) / mu_a),
+            np.sqrt(joint / mu_a),
             -np.sqrt(1.0 - mu_b),
         ],
         dtype=complex,

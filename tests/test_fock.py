@@ -1,8 +1,12 @@
 """Two-sector weight combination, angle extraction, and the 3-d realization."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qconcepts.errors import ConstructionInapplicable, ModelError, NoInterferenceSolution
 from qconcepts.fock import (
@@ -167,6 +171,24 @@ def test_c3_vectors_reproduce_weights_and_cross_term():
     cross = inner_product(vec_a, proj.apply(vec_b.components))
     expected = np.sqrt((1 - 0.87) * (1 - 0.81)) * np.cos(beta)
     assert cross.real == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0), st.floats(0.0, np.pi))
+@example(1e-9, 0.5, 0.3)    # rounding muA + muB to a double drops 9 of muA's 16 digits
+@example(1.0, 0.0, np.pi)
+def test_c3_vectors_match_an_independent_born_rule(mu_a, frac, beta):
+    """The weights and the cross term of the C3 vectors, by np.vdot on the
+    projector's two coordinates: muB runs from 1 - muA up to 1."""
+    mu_b = min(1.0 - mu_a + frac * mu_a, 1.0)
+    while Fraction(mu_a) + Fraction(mu_b) < 1:      # muA + muB >= 1 exactly
+        mu_b = float(np.nextafter(mu_b, 2.0))
+    a, b = (v.components[:2] for v in build_c3_vectors(mu_a, mu_b, beta)[:2])
+    assert abs(np.vdot(a, a).real - mu_a) <= 1e-12
+    assert abs(np.vdot(b, b).real - mu_b) <= 1e-12
+    mean = 0.5 * (mu_a + mu_b)
+    assert mean + np.vdot(a, b).real == pytest.approx(
+        mean + np.sqrt((1.0 - mu_a) * (1.0 - mu_b)) * np.cos(beta), abs=1e-12)
 
 
 def test_c3_precondition_is_enforced():
