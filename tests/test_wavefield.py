@@ -394,7 +394,7 @@ def _fit_or_error(fit, rows):
         return str(exc)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=5, deadline=None)
 @given(st.one_of(st.tuples(st.just("seeded"), st.integers(0, 2 ** 32 - 1), st.integers(3, 12)),
                  st.tuples(st.just("table2"), st.integers(0, 2 ** 32 - 1),
                            st.sampled_from((0.02, 0.1, 0.18, 0.3)))))
