@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionInapplicable, ModelError, check_unit_interval
-from .hilbert import ALGEBRAIC_TOL, Projector, StateVector, arccos_clamped
+from .hilbert import ALGEBRAIC_TOL, STRUCTURAL_TOL, Projector, StateVector, arccos_clamped
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,19 @@ def build_c3_vectors(mu_a: float, mu_b: float, beta: float):
     Returns (vector_a, vector_b, projector).
     """
     check_unit_interval((("muA", mu_a), ("muB", mu_b)))
-    if mu_a <= 0.0 or mu_a + mu_b < 1.0:
+    # muA + muB - 1; below muA = 1/2, 1 - muB is exact, so a sum that rounds
+    # up to 1 is refused when it falls short by more than STRUCTURAL_TOL * muA
+    joint = mu_a + mu_b - 1.0 if mu_a >= 0.5 else mu_a - (1.0 - mu_b)
+    if mu_a <= 0.0 or mu_a + mu_b < 1.0 or joint < -STRUCTURAL_TOL * mu_a:
         raise ConstructionInapplicable(
             "C3 construction inapplicable: requires muA > 0 and muA + muB >= 1 "
-            f"(got muA={mu_a!r}, muA+muB={mu_a + mu_b!r})"
+            f"(got muA={mu_a!r}, muA+muB-1={joint!r})"
         )
-    # muA + muB - 1, 0 if the sum rounds up to 1; below muA = 1/2, 1 - muB is exact
-    joint = mu_a + mu_b - 1.0 if mu_a >= 0.5 else max(mu_a - (1.0 - mu_b), 0.0)
     vec_a = np.array([np.sqrt(mu_a), 0.0, np.sqrt(1.0 - mu_a)], dtype=complex)
     vec_b = np.exp(1j * beta) * np.array(
         [
             np.sqrt((1.0 - mu_a) * (1.0 - mu_b) / mu_a),
-            np.sqrt(joint / mu_a),
+            np.sqrt(max(joint, 0.0) / mu_a),
             -np.sqrt(1.0 - mu_b),
         ],
         dtype=complex,

@@ -65,10 +65,10 @@ def fail_in_a_helper(monkeypatch, set_cpus):
     caller, helper_started, raised = threading.get_ident(), threading.Event(), []
     cos_phase = wavefield._cos_phase
 
-    def cos_or_fail(phi, out=None):
+    def cos_or_fail(phi):
         if threading.get_ident() == caller:
             helper_started.wait(10.0)
-            return cos_phase(phi, out)
+            return cos_phase(phi)
         helper_started.set()
         raised.append(ModelError("block failed in a helper"))
         raise raised[-1]

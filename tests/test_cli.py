@@ -534,6 +534,19 @@ def test_fock_without_c3_realization(run_cli, run_cli_json):
     assert payload["prediction_roundtrip"] == pytest.approx(0.45, abs=1e-12)
 
 
+def test_fock_refuses_c3_where_the_weights_only_round_up_to_one(run_cli, run_cli_json):
+    # muA + muB is 1.0 as a float but short of 1 by 1.5e-3 of muA: no 3-d
+    # vectors, rather than an unnormalized |B>
+    argv = ("fock", "--mu-a", 8.087501613431206e-15, "--mu-b", 0.9999999999999919,
+            "--mu-joint", 0.35, "--connective", "and")
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    assert out.endswith("3-d realization: not applicable (needs muA > 0 and muA + muB >= 1)\n")
+    code, payload, err = run_cli_json(*argv)
+    assert code == 0 and err == ""
+    assert payload["c3"] is None and payload["beta_deg"] == 90.0
+
+
 def test_fock_prediction_outside_the_unit_interval_prints_no_warning(tmp_path):
     # the round trip lands a few ulps below 0; a fresh process shows anything
     # Python's default warning filters would print on stderr

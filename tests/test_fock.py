@@ -199,6 +199,29 @@ def test_c3_precondition_is_enforced():
         build_c3_vectors(0.4, 0.5, 0.5)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), st.floats(1e-16, 1e-6)),
+       st.integers(-40, 40))
+# muB = 0.9999999999999919: the float sum is 1.0, the exact one short by 1.5e-3 of muA
+@example(8.087501613431206e-15, 0)
+@example(1.1e-7, 0)                        # muB = 1 - muA, half an ulp short at most
+def test_c3_refuses_exactly_the_sums_that_fall_short_of_one(mu_a, ulps):
+    """muB within 40 ulps of 1 - muA. Where the float sum muA + muB reaches
+    1, the vectors build, |B> normalized and muB its weight, if the exact sum
+    falls short of 1 by at most 1e-9 of muA (STRUCTURAL_TOL); they are
+    refused if it falls short by over twice that, or if the float sum does."""
+    mu_b = min((1.0 - mu_a) + ulps * 2.0 ** -53, 1.0)
+    short = (1 - Fraction(mu_a) - Fraction(mu_b)) / Fraction(mu_a)
+    if mu_a + mu_b < 1.0 or short > 2e-9:
+        with pytest.raises(ConstructionInapplicable):
+            build_c3_vectors(mu_a, mu_b, 0.5)
+    elif short <= 1e-9:
+        _, vec_b, _ = build_c3_vectors(mu_a, mu_b, 0.5)
+        b = vec_b.components
+        assert abs(np.vdot(b, b).real - 1.0) <= 1e-9
+        assert abs(np.vdot(b[:2], b[:2]).real - mu_b) <= 1e-9
+
+
 # ------------------------------------------------------------------ complex sum
 
 def test_complex_sum_interference_squared_magnitude():

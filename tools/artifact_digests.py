@@ -96,6 +96,10 @@ def _calls(inputs: Path) -> list:
         # scanned one is used; no width assignment exists
         *(["wavefield", "--input", str(inputs / f"exemplars-{seed}-{n}.csv"), "--grid", "64x48"]
           for seed, n in WIDTH_FIT_TABLES),
+        # muA + muB rounds up to 1 but is short of it by 1.5e-3 of muA: no C3 vectors
+        _fock(8.087501613431206e-15, 0.9999999999999919, 0.35, "and"),
+        # the benchmark's raster: 64 row blocks, shared by every thread
+        ["wavefield", *table2, "--grid", "2048x2048"],
     ]
 
 
