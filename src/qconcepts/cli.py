@@ -35,8 +35,9 @@ def _sig(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _deg_json(radians) -> float:
-    return round(float(np.degrees(radians)), 4)
+def _deg_json(radians) -> list:
+    """Each angle in degrees, rounded to 4 decimals."""
+    return [round(d, 4) for d in np.degrees(radians).tolist()]
 
 
 def _out_dir(args) -> str:
@@ -128,21 +129,14 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _input_digests(args) -> dict:
-    if getattr(args, "dataset", None):
-        return {args.dataset: _digest(datasets.dataset_file_bytes(args.dataset))}
-    return {str(args.input): _digest(datasets.read_bytes(args.input))}
-
-
 def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
     """Write the run manifest ``name`` in ``out``, adding dataset, input and out_dir."""
-    parameters = dict(parameters, dataset=getattr(args, "dataset", None),
-                      input=str(args.input) if getattr(args, "input", None) else None,
-                      out_dir=out)
+    source, read = ((args.dataset, datasets.dataset_file_bytes) if args.dataset
+                    else (args.input, datasets.read_bytes))
     manifest = {
         "command": list(argv),
-        "inputs": _input_digests(args),
-        "parameters": parameters,
+        "inputs": {source: _digest(read(source))},
+        "parameters": dict(parameters, dataset=args.dataset, input=args.input, out_dir=out),
         "outputs": sorted(outputs),
         "tool_version": __version__,
     }
@@ -164,7 +158,7 @@ def _emit(args, payload: dict, human_lines, encoded=()):
 
 def _dataset_rows(args, kind: str):
     """Rows from --input or --dataset, checked against the expected payload kind."""
-    if getattr(args, "dataset", None):
+    if args.dataset:
         ds = datasets.load_dataset(args.dataset)
         if ds.kind != kind:
             raise ModelError(
@@ -182,7 +176,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _cmd_classicality(args, argv) -> int:
+def _cmd_classicality(args, argv):
     table = _dataset_rows(args, "membership")
     diag = classicality.batch_diagnose(table.mu_a, table.mu_b, table.mu_joint, table.is_and)
     ext_names = [e.value for e in classicality.ExtensionClass]
@@ -238,7 +232,6 @@ def _cmd_classicality(args, argv) -> int:
         yield f"wrote {json_name}, {csv_name}, classicality_manifest.json in {out}"
 
     _emit(args, {"outputs": manifest["outputs"]}, human(), encoded={"rows": rows_json})
-    return 0
 
 
 # ------------------------------------------------------------------------ fock
@@ -250,7 +243,7 @@ _FOCK_CONNECTIVES = {
 }
 
 
-def _cmd_fock(args, argv) -> int:
+def _cmd_fock(args, argv):
     weights = fock.FockWeights(args.m2, 1.0 - args.m2)
     extract, forward = _FOCK_CONNECTIVES[args.connective]
     beta = extract(args.mu_a, args.mu_b, args.mu_joint, weights)
@@ -270,7 +263,7 @@ def _cmd_fock(args, argv) -> int:
         "muB": args.mu_b,
         "muJoint": args.mu_joint,
         "weights": {"m2": weights.m_sq, "n2": weights.n_sq},
-        "beta_deg": _deg_json(beta),
+        "beta_deg": _deg_json([beta])[0],
         "prediction_roundtrip": roundtrip,
         "c3": c3,
     }
@@ -282,12 +275,11 @@ def _cmd_fock(args, argv) -> int:
                                "not applicable (needs muA > 0 and muA + muB >= 1)"),
     ]
     _emit(args, payload, human)
-    return 0
 
 
 # ------------------------------------------------------------------------ chsh
 
-def _cmd_chsh(args, argv) -> int:
+def _cmd_chsh(args, argv):
     result = entanglement.chsh_statistic(_dataset_rows(args, "coincidence"))
     diagnostics = []
     for t in result.tables:
@@ -322,19 +314,17 @@ def _cmd_chsh(args, argv) -> int:
             f" deficit {_sig(d['normalization_deficit'])}{note}"
         )
     _emit(args, payload, human)
-    return 0
 
 
 # ----------------------------------------------------------- disjunction-model
 
-def _cmd_disjunction_model(args, argv) -> int:
+def _cmd_disjunction_model(args, argv):
     rows = _dataset_rows(args, "exemplar")
     model = disjunction_model.build_model(rows)
     predictions = [disjunction_model.predict_disjunction(model, k)
                    for k in range(1, len(rows) + 1)]
     errors = np.abs(np.array(predictions) - rows.mu_a_or_b)
-    # per phase, the value _deg_json gives
-    phi_deg = [round(d, 4) for d in np.degrees(model.phases).tolist()]
+    phi_deg = _deg_json(model.phases)
     rows_json = _json_rows({
         "index": list(map(str, rows.index)),
         "name": list(map(_encode_str, rows.name)),
@@ -377,7 +367,6 @@ def _cmd_disjunction_model(args, argv) -> int:
                    f"  predicted {_sig(pred):>9}  observed {_sig(observed)}")
 
     _emit(args, payload, human(), encoded=encoded)
-    return 0
 
 
 # ------------------------------------------------------------------- wavefield
@@ -393,7 +382,7 @@ def _grid_spec(text: str):
     return nx, ny
 
 
-def _cmd_wavefield(args, argv) -> int:
+def _cmd_wavefield(args, argv):
     nx, ny = args.grid
     if nx * ny > wavefield.MAX_GRID_PIXELS:     # refused before any table is read
         raise ModelError(f"grid {nx}x{ny} is too large to allocate")
@@ -448,12 +437,11 @@ def _cmd_wavefield(args, argv) -> int:
         f"wrote {', '.join(sorted(outputs))} and wavefield_manifest.json in {out}",
     ]
     _emit(args, {"manifest": manifest}, human)
-    return 0
 
 
 # -------------------------------------------------------------------- datasets
 
-def _cmd_datasets(args, argv) -> int:
+def _cmd_datasets(args, argv):
     catalog = datasets.list_datasets()
     human = []
     for entry in catalog:
@@ -462,7 +450,6 @@ def _cmd_datasets(args, argv) -> int:
         for note in entry["notes"]:
             human.append(f"  - {note}")
     _emit(args, {"datasets": catalog}, human)
-    return 0
 
 
 # ----------------------------------------------------------------- entry point
@@ -544,9 +531,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, argv)
+        args.func(args, argv)
         sys.stdout.flush()
-        return code
+        return 0
     except ModelError as exc:
         error = _error_payload(exc)
     except BrokenPipeError:

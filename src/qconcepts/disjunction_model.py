@@ -149,15 +149,20 @@ class DisjunctionModel:
 def build_model(rows: ExemplarColumns) -> DisjunctionModel:
     """Construct the explicit model from an exemplar table's columns.
 
-    Weight columns must each sum to at most 1 + 0.002 (choose-one data), so
-    each vector's norm is within 1e-3 of 1 (its deviation is reported).
-    Phase magnitudes are always recomputed from the weights so the model
-    inverts the disjunction column exactly; supplied angles contribute their
-    sign only. With no supplied angles the sign search takes over.
+    Weights must lie in [0, 1] and the muA and muB columns sum to at most
+    1 + 0.002 (choose-one data), so each vector's norm is within 1e-3 of 1
+    (its deviation is reported). Phase magnitudes are always recomputed from
+    the weights so the model inverts the disjunction column exactly;
+    supplied angles give their sign only, else the sign search takes over.
     """
     if not len(rows):
         raise ModelError("need at least one exemplar row")
     mu_a, mu_b, mu_or = rows.mu_a, rows.mu_b, rows.mu_a_or_b
+    weights = np.stack((mu_a, mu_b, mu_or))
+    bad = np.flatnonzero(~np.all((weights >= 0.0) & (weights <= 1.0), axis=0))
+    if bad.size:        # the first row with a weight outside [0, 1] or NaN
+        check_unit_interval(zip(("muA", "muB", "muAorB"), weights[:, bad[0]].tolist()),
+                            prefix=f"{rows.name[bad[0]]}: ")
     for label, col in (("muA", mu_a), ("muB", mu_b)):
         if col.sum() > 1.0 + COLUMN_SUM_SLACK:
             raise ModelError(

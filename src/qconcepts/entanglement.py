@@ -41,8 +41,8 @@ class CHSHClass(enum.Enum):
 class CoincidenceTable:
     """Joint outcome probabilities for one measurement pairing.
 
-    Counts are accepted too: any entry above 1 flags the row as counts,
-    which are normalized by their sum (the total is kept in `total`).
+    An entry above 1 is refused: ``coincidence_from_values`` takes counts,
+    normalizes them by their sum and keeps that sum in ``total``.
     """
 
     label: str

@@ -152,7 +152,7 @@ def born_probability(state, projector: Projector) -> float:
     if abs(val.imag) > ALGEBRAIC_TOL:
         raise ModelError(f"Born probability not real: imag = {val.imag:.3e}")
     p = val.real
-    if p < -STRUCTURAL_TOL or p > 1.0 + STRUCTURAL_TOL:
+    if not (-STRUCTURAL_TOL <= p <= 1.0 + STRUCTURAL_TOL):     # NaN fails too
         raise ModelError(f"Born probability outside [0, 1]: {p!r}")
     return min(max(p, 0.0), 1.0)
 

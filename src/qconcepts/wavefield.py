@@ -23,11 +23,11 @@ classical average bit for bit.
 
 Rasters are built and normalized in blocks of rows of about _BLOCK_PIXELS
 pixels, so each step's temporaries stay in cache; each pixel gets the same
-values as on the whole grid. The phase's one-axis terms are added as an x
-row or a y column, with no product by the other axis's ones. The blocks
-are shared by the calling thread and helper threads, one per further CPU
-the process may use (limit them with ``taskset``); the output is identical
-for any count. Only the rasters are written in place (see _map_blocks).
+values as on the whole grid. The phase's power 0 is the scalar 1.0, so a
+one-axis term costs only an x row or a y column. The blocks are shared by
+the calling thread and helper threads, one per further CPU the process may
+use (limit them with ``taskset``); the output is identical for any count.
+Only the rasters are written in place (see _map_blocks).
 
 Everything here is deterministic: fixed sample counts, fixed scan grids,
 and one array bisection that places exemplars at crossings and tangencies.
@@ -102,19 +102,16 @@ class PhasePolynomial:
 
     def evaluate(self, x, y):
         """phi at (x, y), the terms summed in order. Each distinct power of x
-        and of y is taken once. A one-axis term is added as its x row (y
-        column): its product by the other axis's power 0, ones, is exact and
-        is skipped."""
+        and of y is taken once, and power 0 is the scalar 1.0: a one-axis
+        term costs only its x row (y column), and its product by 1.0 is
+        exact."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        xp = {mx: x ** mx for mx in {mx for mx, _, _ in self.terms}}
-        yp = {my: y ** my for my in {my for _, my, _ in self.terms}}
+        xp = {mx: x ** mx if mx else 1.0 for mx in {mx for mx, _, _ in self.terms}}
+        yp = {my: y ** my if my else 1.0 for my in {my for _, my, _ in self.terms}}
         for mx, my, coef in self.terms:
-            if my == 0 or mx == 0:
-                out += coef * (xp[mx] if my == 0 else yp[my])
-            else:
-                out += coef * xp[mx] * yp[my]
+            out += coef * xp[mx] * yp[my]
         return out if out.shape else float(out)
 
 

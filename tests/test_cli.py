@@ -447,7 +447,7 @@ def test_disjunction_model_stdout_is_json_dumps_of_its_payload(run_cli, tmp_path
              else datasets.load_dataset(args[1]).rows)
     phases = disjunction_model.build_model(table).phases
     rows = payload["rows"]
-    assert [r["phi_deg"] for r in rows] == [cli._deg_json(phase) for phase in phases]
+    assert [r["phi_deg"] for r in rows] == cli._deg_json(phases)
     assert [r["abs_error"] for r in rows] == [abs(r["prediction"] - r["muAorB"]) for r in rows]
     assert payload["max_abs_prediction_error"] == max(r["abs_error"] for r in rows)
     if source.startswith("vectors-"):
@@ -904,6 +904,19 @@ def test_underflowing_weight_product_is_a_json_model_error(run_cli, tmp_path, ve
     info = json.loads(err, parse_constant=_reject_constant)["error"]
     assert info["type"] == "ModelError"
     assert info["message"] == "Tiny: phase undefined: muA * muB underflows to 0"
+
+
+def test_a_b_peak_tied_with_the_a_peak_is_a_json_placement_error(run_cli, tmp_path):
+    # the row with the largest muB ties the first row with the largest muA,
+    # so B's anchor sits on A's peak level and pins no width
+    path = tmp_path / "x.csv"
+    path.write_text("index,name,muA,muB,muAorB\n1,Apex,0.4,0.1,0.25\n"
+                    "2,Twin,0.4,0.5,0.45\n3,Low,0.2,0.4,0.3\n")
+    code, out, err = run_cli("wavefield", "--input", path, "--out-dir", tmp_path / "out", "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "PlacementError", "message": "anchor rows must differ in weight from the peaks"}}
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_peak_ratio_is_one_json_error_on_stderr(tmp_path):

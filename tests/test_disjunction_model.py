@@ -10,6 +10,7 @@ from conftest import exemplar_columns
 from qconcepts.datasets import load_dataset
 from qconcepts.disjunction_model import (
     DisjunctionModel,
+    ExemplarColumns,
     ExemplarRow,
     assign_phase_signs,
     build_model,
@@ -274,6 +275,22 @@ def test_build_model_rejects_overfull_columns():
         build_model(exemplar_columns(rows))
     with pytest.raises(ModelError, match="at least one"):
         build_model([])
+
+
+@pytest.mark.parametrize("mu_a, mu_or, message, column", [
+    # a NaN once gave NaN phases and a NaN prediction, with numpy's warning
+    ([0.3, np.nan, 0.2], [0.3, 0.3, 0.3], "b: muA must lie in [0, 1], got nan", "muA"),
+    # the first bad row, and in it the first bad weight, names the error
+    ([0.3, np.nan, 0.2], [-0.5, 0.3, 0.3], "a: muAorB must lie in [0, 1], got -0.5", "muAorB"),
+    # checked before the column sum, which 1.5 would fail as well
+    ([0.3, 1.5, 0.2], [0.3, 0.3, 0.3], "b: muA must lie in [0, 1], got 1.5", "muA"),
+])
+def test_build_model_refuses_a_weight_outside_the_unit_interval(mu_a, mu_or, message, column):
+    rows = ExemplarColumns([1, 2, 3], ["a", "b", "c"], np.array(mu_a),
+                           np.array([0.2, 0.3, 0.4]), np.array(mu_or), None)
+    with pytest.raises(ModelError) as info:
+        build_model(rows)
+    assert str(info.value) == message and info.value.column == column
 
 
 def _basis_projectors(model):

@@ -120,6 +120,23 @@ def test_projector_indices_validated():
         Projector(basis_indices=(0, 0), dim=3)
 
 
+def test_projector_refuses_a_matrix_that_is_not_square():
+    for matrix in (np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ModelError, match="must be square"):
+            Projector(matrix=matrix)
+
+
+def test_diagonal_projector_needs_a_dim():
+    with pytest.raises(ModelError, match="explicit dim"):
+        Projector(basis_indices=(0,))
+
+
+def test_spectral_family_refuses_a_member_of_another_dim():
+    with pytest.raises(DimensionMismatch, match="disagree on dim"):
+        SpectralFamily((Projector(basis_indices=(0,), dim=2),
+                        Projector(basis_indices=(0,), dim=3)), 2)
+
+
 def test_projector_apply_zeroes_excluded_coordinates():
     p = Projector(basis_indices=(1,), dim=3)
     out = p.apply(np.array([1.0, 2.0, 3.0], dtype=complex))
@@ -155,6 +172,26 @@ def test_born_probability_clips_rounding_overshoot():
 def test_born_probability_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         born_probability(StateVector([1.0, 0.0]), Projector(basis_indices=(0,), dim=3))
+
+
+@pytest.mark.parametrize("projector", [
+    Projector(basis_indices=(0,), dim=2), Projector(basis_indices=(0, 1), dim=2),
+    Projector(matrix=np.eye(2))], ids=["one-index", "two-index", "dense"])
+def test_born_probability_refuses_a_nan_state(projector):
+    # a NaN compares False both ways, so a range test must be written to fail on it
+    with pytest.raises(ModelError, match=r"outside \[0, 1\]: nan"):
+        born_probability(np.array([np.nan, 0.0]), projector)
+
+
+def test_born_probability_refuses_a_value_that_is_not_real():
+    # an anti-Hermitian part of 4e-10 passes the projector's Hermitian and
+    # idempotence checks (its square is 1.6e-19), and gives <s|M|s> an
+    # imaginary part of 4e-10 on s = (1, i)/sqrt(2)
+    eps = 4e-10
+    projector = Projector(matrix=np.array([[1.0, eps], [-eps, 0.0]]))
+    state = StateVector(np.array([1.0, 1j]) / np.sqrt(2.0))
+    with pytest.raises(ModelError, match="not real: imag = 4.000e-10"):
+        born_probability(state, projector)
 
 
 def _born_zero_filled(comps, projector):

@@ -111,6 +111,13 @@ def test_a_nan_weight_is_refused_by_the_width_fit_and_the_placement(table2, row)
         place_exemplars(bad, config)
 
 
+def test_placement_refuses_a_peak_below_the_largest_weight(table2):
+    rows, config, _, _ = table2
+    low = dataclasses.replace(config, amplitude_a=float(rows.mu_a.max()) / 2)
+    with pytest.raises(ModelError, match="peak amplitude 0.0592 below max muA weight"):
+        place_exemplars(rows, low)
+
+
 def test_peak_rows_anchor_the_two_centers(table2):
     rows, config, _, _ = table2
     ia = int(np.argmax([r.mu_a for r in rows]))
@@ -614,6 +621,11 @@ def test_fit_phase_field_duplicate_positions_rejected():
         fit_phase_field([(1.0, 2.0)], [0.1, 0.2])
 
 
+def test_fit_phase_field_needs_a_position():
+    with pytest.raises(ModelError, match="at least one position"):
+        fit_phase_field(np.zeros((0, 2)), np.zeros(0))
+
+
 def test_fit_phase_field_singular_square_system_falls_back():
     # two points sharing y: the square system on (1, y) is singular, the
     # least-squares fallback over 30 monomials still interpolates
@@ -758,6 +770,13 @@ def test_evaluate_patterns_validates_grid_and_extent(table2):
     outside[0, 0] = DEFAULT_EXTENT[1] + 1.0
     with pytest.raises(ModelError, match="does not cover"):
         evaluate_patterns(dataclasses.replace(config, positions=outside), poly)
+
+
+def test_evaluate_patterns_refuses_a_grid_too_large_to_allocate(table2):
+    # numpy refuses an axis of 2**62 points before allocating anything
+    _, config, _, poly = table2
+    with pytest.raises(ModelError, match=f"grid 2x{2 ** 62} is too large to allocate"):
+        evaluate_patterns(config, poly, grid=(2, 2 ** 62))
 
 
 def test_ninety_degree_phase_degenerates_to_classical(table2):
@@ -1106,6 +1125,21 @@ def test_pgm_sidecar_bounds_keep_the_whole_array_zero_sign(tmp_path, bound, firs
     assert repr(meta["value_max"]) == repr(float(values.max()))
 
 
+def test_atomic_write_passes_other_errors_through_and_leaves_no_temp_file(tmp_path):
+    # only an OSError becomes a ModelError; any other error of the chunks
+    # reaches the caller as it was raised
+    error = KeyError("chunk")
+
+    def chunks():
+        yield b"partial text"
+        raise error
+
+    with pytest.raises(KeyError) as info:
+        wavefield.atomic_write(tmp_path / "out.txt", chunks())
+    assert info.value is error
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_rejects_unknown_format(tmp_path, table2):
     _, config, _, poly = table2
     pattern = evaluate_patterns(config, poly, grid=(4, 4))[GridKind.INTENSITY_A]
@@ -1132,9 +1166,12 @@ _EXP_BITS = ("import hashlib, numpy as np; print(hashlib.sha256("
              "np.exp(np.linspace(-30.0, 3.0, 257)).tobytes()).hexdigest())")
 
 
-def _other_dispatch_env():
+@pytest.fixture(scope="module")
+def other_dispatch_env():
     """Environment for a child process with numpy's AVX-512 group (X86_V4)
-    switched off; skips unless numpy accepts that and np.exp then changes."""
+    switched off; skips unless numpy accepts that and np.exp then changes.
+    The probe runs once per module: pytest keeps a module fixture's value,
+    or its skip, for every test that asks for it."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
                PYTHONPATH=str(Path(qconcepts.__file__).parents[1]))
     probe = subprocess.run([sys.executable, "-c", _EXP_BITS], capture_output=True, text=True,
@@ -1147,16 +1184,15 @@ def _other_dispatch_env():
     return env
 
 
-def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
+def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path, other_dispatch_env):
     # numpy picks its exp, log and arccos kernels by CPU feature at run time,
     # and their last bits differ between kernels: artifact bytes belong to one
     # numpy build on one CPU feature set. The census and residual bounds must
     # hold under either, here with numpy's AVX-512 group (X86_V4) switched off
-    env = _other_dispatch_env()
     proc = subprocess.run(
         [sys.executable, "-m", "qconcepts.cli", "wavefield", "--dataset",
          "fruits-vegetables-table2", "--out-dir", str(tmp_path), "--json"],
-        capture_output=True, text=True, env=env, check=False)
+        capture_output=True, text=True, env=other_dispatch_env, check=False)
     assert proc.returncode == 0 and proc.stderr == ""
     params = json.loads(proc.stdout)["manifest"]["parameters"]
     residuals = params["residuals"]
@@ -1166,14 +1202,14 @@ def test_criterion_7_holds_under_another_numpy_cpu_dispatch(tmp_path):
     assert params["clamp_count"] == 0
 
 
-def test_export_csv_matches_per_pixel_format_under_another_numpy_cpu_dispatch():
+def test_export_csv_matches_per_pixel_format_under_another_numpy_cpu_dispatch(other_dispatch_env):
     # the raster CSV text takes only a first guess of each exponent from
     # log10, whose kernel follows the CPU features; its bytes must not
     tests = [f"{__file__}::{name}" for name in (
         "test_export_csv_matches_per_pixel_format",
         "test_export_csv_matches_per_pixel_format_on_any_doubles")]
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-                          capture_output=True, text=True, env=_other_dispatch_env(),
+                          capture_output=True, text=True, env=other_dispatch_env,
                           cwd=Path(__file__).parents[1], check=False)
     assert proc.returncode == 0, proc.stdout[-2000:]
     assert "2 passed" in proc.stdout

@@ -100,6 +100,8 @@ def _calls(inputs: Path) -> list:
         _fock(8.087501613431206e-15, 0.9999999999999919, 0.35, "and"),
         # the benchmark's raster: 64 row blocks, shared by every thread
         ["wavefield", *table2, "--grid", "2048x2048"],
+        # the largest muB ties the largest muA: the width fit has no B anchor
+        ["wavefield", "--input", str(inputs / "exemplars-tied-peak.csv")],
     ]
 
 
@@ -164,6 +166,9 @@ def main(root: str) -> None:
         for seed, n in WIDTH_FIT_TABLES:
             (inputs / f"exemplars-{seed}-{n}.csv").write_bytes(workloads.exemplar_csv(seed, n)[0])
         (inputs / "exemplars.csv").write_bytes(exemplars)
+        (inputs / "exemplars-tied-peak.csv").write_text(
+            "index,name,muA,muB,muAorB\n1,Apex,0.4,0.1,0.25\n2,Twin,0.4,0.5,0.45\n"
+            "3,Low,0.2,0.4,0.3\n")
         (inputs / "exemplars-quoted.csv").write_bytes(exemplars.replace(b",x0010,", b',"x0010",'))
         # the same kind of table with a seeded signed angle on every row
         lines = workloads.exemplar_csv(2)[0].decode().splitlines()
