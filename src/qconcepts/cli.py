@@ -125,17 +125,13 @@ def _json_rows(columns: dict):
     return _json_list(map(template.__mod__, zip(*(columns[key] for key in keys))))
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
     """Write the run manifest ``name`` in ``out``, adding dataset, input and out_dir."""
     source, read = ((args.dataset, datasets.dataset_file_bytes) if args.dataset
                     else (args.input, datasets.read_bytes))
     manifest = {
         "command": list(argv),
-        "inputs": {source: _digest(read(source))},
+        "inputs": {source: "sha256:" + hashlib.sha256(read(source)).hexdigest()},
         "parameters": dict(parameters, dataset=args.dataset, input=args.input, out_dir=out),
         "outputs": sorted(outputs),
         "tool_version": __version__,
@@ -412,7 +408,7 @@ def _cmd_wavefield(args, argv):
         outputs.extend(os.path.basename(p) for p in written)
     parameters = {
         "grid": list(args.grid),
-        "extent": list(wavefield.DEFAULT_EXTENT),
+        "extent": list(sup.extent),
         "format": args.format,
         **dataclasses.asdict(config),
         "positions": config.positions.tolist(),

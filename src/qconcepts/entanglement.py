@@ -123,7 +123,7 @@ def chsh_statistic(tables) -> CHSHResult:
         raise ModelError(f"unexpected coincidence blocks: {', '.join(extra)}")
     e = {b: expectation_value(by_label[b]) for b in CHSH_BLOCKS}
     s = e["A'B'"] + e["A'B"] + e["AB'"] - e["AB"]
-    if abs(s) <= 2.0 + ALGEBRAIC_TOL:
+    if abs(s) <= local_deterministic_bound() + ALGEBRAIC_TOL:
         cls = CHSHClass.CLASSICAL
     elif abs(s) <= tsirelson_bound() + ALGEBRAIC_TOL:
         cls = CHSHClass.QUANTUM_VIOLATION

@@ -42,7 +42,7 @@ class StateVector:
         object.__setattr__(self, "components", arr)
         if self.normalized:
             nrm = np.linalg.norm(arr)
-            if abs(nrm - 1.0) > STRUCTURAL_TOL:
+            if not (abs(nrm - 1.0) <= STRUCTURAL_TOL):     # NaN fails too
                 raise ModelError(
                     f"state vector not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}"
                 )
@@ -65,9 +65,9 @@ class Projector:
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ModelError("projector matrix must be square")
-            if np.max(np.abs(m - m.conj().T)) > STRUCTURAL_TOL:
+            if not (np.max(np.abs(m - m.conj().T)) <= STRUCTURAL_TOL):
                 raise ModelError("projector matrix is not Hermitian")
-            if np.max(np.abs(m @ m - m)) > STRUCTURAL_TOL:
+            if not (np.max(np.abs(m @ m - m)) <= STRUCTURAL_TOL):
                 raise ModelError("projector matrix is not idempotent")
             self._matrix = m
             self._indices = None
@@ -192,12 +192,12 @@ def validate_spectral_family(family: SpectralFamily) -> ValidationReport:
 def arccos_clamped(arg, message):
     """Angle in [0, pi] whose cosine is ``arg``, clamping rounding overshoot.
 
-    ``arg`` may be an array of cosines. One beyond 1 + COS_CLAMP_SLACK in
-    magnitude has no angle: the first such raises NoInterferenceSolution
+    ``arg`` may be an array of cosines. A NaN, or one beyond 1 + COS_CLAMP_SLACK in
+    magnitude, has no angle: the first such raises NoInterferenceSolution
     carrying it, with ``message`` (``message(i)`` for array element i).
     """
     arr = np.asarray(arg, dtype=float)
-    over = np.flatnonzero(np.abs(arr) > 1.0 + COS_CLAMP_SLACK)
+    over = np.flatnonzero(~(np.abs(arr) <= 1.0 + COS_CLAMP_SLACK))
     if over.size:
         i = int(over[0])
         raise NoInterferenceSolution(message(i) if arr.ndim else message,

@@ -753,6 +753,16 @@ def test_wavefield_pgm_run(run_cli_json, tmp_path):
     assert params["residuals"]["destructive_pixels"] > 0
 
 
+@pytest.mark.parametrize("grid", [(), ("--grid", "48x32")], ids=["default", "48x32"])
+def test_wavefield_manifest_extent_is_the_rasters_own(run_cli_json, tmp_path, grid):
+    code, payload, _ = run_cli_json("wavefield", "--dataset", "fruits-vegetables-table2",
+                                    *grid, "--out-dir", tmp_path)
+    assert code == 0
+    sidecar = json.loads((tmp_path / "wavefield_superposed.pgm.json").read_text())
+    assert payload["manifest"]["parameters"]["extent"] == sidecar["extent"]
+    assert [sidecar["nx"], sidecar["ny"]] == payload["manifest"]["parameters"]["grid"]
+
+
 def test_wavefield_csv_format(run_cli_json, tmp_path):
     code, _, _ = run_cli_json(
         "wavefield", "--dataset", "fruits-vegetables-table2",

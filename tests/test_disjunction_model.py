@@ -145,6 +145,16 @@ def test_first_failing_row_raises_its_own_error(weights, error):
                     getattr(exc_info.value, "argument", None))
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 0.5, 0.5), (0.5, 0.5, np.nan)],
+                         ids=["muA", "muAorB"])
+def test_phase_magnitudes_refuse_a_nan_weight(weights):
+    # a NaN cosine has no angle; catches arccos_clamped's range test written as
+    # abs(arg) > 1 + COS_CLAMP_SLACK, which is False for NaN and returned [nan]
+    with pytest.raises(NoInterferenceSolution, match=r"a: no phase solution .* = nan\)") as exc:
+        phase_magnitudes(["a"], *(np.array([w]) for w in weights))
+    assert np.isnan(exc.value.argument)
+
+
 def test_sign_assignment_cancels_symmetric_pair():
     mags = [0.7, 0.7]
     weights = [0.3, 0.3]

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconcepts.errors import DimensionMismatch, ModelError
+from qconcepts.errors import DimensionMismatch, ModelError, NoInterferenceSolution
 from qconcepts.hilbert import (
     ALGEBRAIC_TOL,
     STRUCTURAL_TOL,
     Projector,
     SpectralFamily,
     StateVector,
+    arccos_clamped,
     born_probability,
     inner_product,
     schmidt_rank,
@@ -34,6 +35,17 @@ def random_unitary(dim, rng=RNG):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# --------------------------------------------------------------- arccos_clamped
+
+def test_arccos_clamped_refuses_a_nan_cosine():
+    # catches the range test written as abs(arg) > 1 + COS_CLAMP_SLACK, False for NaN
+    with pytest.raises(NoInterferenceSolution, match="scalar") as exc:
+        arccos_clamped(np.nan, "scalar")
+    assert np.isnan(exc.value.argument)
+    with pytest.raises(NoInterferenceSolution, match="element 1"):
+        arccos_clamped(np.array([0.5, np.nan, 2.0]), lambda i: f"element {i}")
+
+
 # ------------------------------------------------------------------ StateVector
 
 def test_state_vector_accepts_unit_norm():
@@ -45,6 +57,12 @@ def test_state_vector_accepts_unit_norm():
 def test_state_vector_rejects_non_unit_norm():
     with pytest.raises(ModelError):
         StateVector([1.0, 1.0])
+
+
+def test_state_vector_refuses_a_nan_component():
+    # catches the norm check written as abs(nrm - 1.0) > STRUCTURAL_TOL, False for NaN
+    with pytest.raises(ModelError, match="not normalized: .* = nan"):
+        StateVector([np.nan, 0.0])
 
 
 def test_state_vector_unnormalized_flag_allows_any_norm():
@@ -104,6 +122,22 @@ def test_projector_rejects_non_idempotent():
 def test_projector_rejects_non_hermitian():
     with pytest.raises(ModelError):
         Projector(matrix=np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+def test_projector_refuses_a_nan_entry():
+    # catches the Hermitian check written as max|m - m^H| > STRUCTURAL_TOL, False for NaN
+    with pytest.raises(ModelError, match="not Hermitian"):
+        Projector(matrix=[[np.nan, 0.0], [0.0, 0.0]])
+
+
+def test_projector_refuses_a_square_that_overflows_to_nan():
+    # finite and Hermitian, but |b|^2 overflows and OpenBLAS's complex product
+    # gives nan+nanj on the diagonal of m @ m; catches the idempotence check
+    # written as max|m @ m - m| > STRUCTURAL_TOL, False for NaN
+    b = 1e155 + 1e155j
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ModelError, match="not idempotent"):
+            Projector(matrix=[[0.0, b], [np.conj(b), 0.0]])
 
 
 def test_projector_requires_exactly_one_source():

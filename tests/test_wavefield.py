@@ -88,6 +88,15 @@ def test_config_validation():
         WaveFieldConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("field", range(6))
+def test_config_refuses_a_nan_amplitude_or_width(field):
+    # catches the positivity check written as getattr(self, name) <= 0, False for NaN
+    values = [1.0] * 6
+    values[field] = np.nan
+    with pytest.raises(ModelError, match="must be positive"):
+        WaveFieldConfig(*values, (10.0, 4.0))
+
+
 def test_default_config_width_pins(table2):
     _, config, _, _ = table2
     assert config.sigma_ax == config.sigma_ay
@@ -757,7 +766,6 @@ def test_evaluate_patterns_shapes_and_keys(table2):
     for kind, pattern in patterns.items():
         assert pattern.kind is kind
         assert pattern.values.shape == (48, 64)
-        assert pattern.nx == 64 and pattern.ny == 48
         assert pattern.extent == (-15.0, 25.0, -15.0, 20.0)
 
 
@@ -920,11 +928,12 @@ def test_helpers_run_under_the_callers_numpy_error_state(table2, set_cpus):
 
 def _csv_reference(pattern):
     """Reference CSV: one "{:.9g}" format per field, joined per pixel."""
-    xs = np.linspace(pattern.extent[0], pattern.extent[1], pattern.nx)
-    ys = np.linspace(pattern.extent[2], pattern.extent[3], pattern.ny)
+    ny, nx = pattern.values.shape
+    xs = np.linspace(pattern.extent[0], pattern.extent[1], nx)
+    ys = np.linspace(pattern.extent[2], pattern.extent[3], ny)
     lines = ["x,y,value"]
-    for iy in range(pattern.ny):
-        for ix in range(pattern.nx):
+    for iy in range(ny):
+        for ix in range(nx):
             lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{pattern.values[iy, ix]:.9g}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -934,12 +943,12 @@ def _edge_values_pattern():
     values = np.array([[1e-05, -0.0, np.inf],
                        [np.nan, -np.inf, 0.0],
                        [np.nextafter(1.0, 2.0), 123456789012.0, -2.5e-300]])
-    return GridPattern(3, 3, (-1.0, 1.0, -0.5, 1e-05), values, GridKind.SUPERPOSED)
+    return GridPattern((-1.0, 1.0, -0.5, 1e-05), values, GridKind.SUPERPOSED)
 
 
 def _values_pattern(values, nx, extent=DEFAULT_EXTENT):
     values = np.asarray(values, dtype=float).reshape(-1, nx)
-    return GridPattern(nx, len(values), extent, values, GridKind.SUPERPOSED)
+    return GridPattern(extent, values, GridKind.SUPERPOSED)
 
 
 def _rounding_edge_patterns():
@@ -1044,8 +1053,7 @@ def test_export_pgm_and_sidecar(tmp_path, table2):
 
 
 def test_export_pgm_flat_pattern_is_all_zero(tmp_path):
-    flat = GridPattern(4, 2, (0.0, 1.0, 0.0, 1.0), np.full((2, 4), 0.25),
-                       GridKind.CLASSICAL_AVERAGE)
+    flat = GridPattern((0.0, 1.0, 0.0, 1.0), np.full((2, 4), 0.25), GridKind.CLASSICAL_AVERAGE)
     path = tmp_path / "flat.pgm"
     export_grid(flat, str(path), fmt="pgm")
     blob = path.read_bytes()
@@ -1061,7 +1069,7 @@ def _pgm_reference(pattern):
         norm = np.round((v - vmin) / (vmax - vmin) * 65535.0).astype(">u2")
     else:
         norm = np.zeros(v.shape, dtype=">u2")
-    return f"P5\n{pattern.nx} {pattern.ny}\n65535\n".encode() + norm.tobytes()
+    return f"P5\n{v.shape[1]} {v.shape[0]}\n65535\n".encode() + norm.tobytes()
 
 
 def _ulp_pattern():
@@ -1070,7 +1078,7 @@ def _ulp_pattern():
     values = np.array([[np.nextafter(lo, hi), -0.0, 0.0, np.nextafter(hi, lo)],
                        [hi, 5e-324, -5e-324, lo],
                        [0.5, -0.0, np.nextafter(-0.0, hi), np.nextafter(0.0, lo)]])
-    return GridPattern(4, 3, (0.0, 1.0, 0.0, 1.0), values, GridKind.SUPERPOSED)
+    return GridPattern((0.0, 1.0, 0.0, 1.0), values, GridKind.SUPERPOSED)
 
 
 def _half_level_pattern():
@@ -1079,7 +1087,7 @@ def _half_level_pattern():
     lo, hi = 0.0, 0.1184
     mids = lo + (np.arange(65534) + 0.5) / 65535.0 * (hi - lo)
     values = np.concatenate(([lo], mids, [hi])).reshape(256, 256)
-    return GridPattern(256, 256, (0.0, 1.0, 0.0, 1.0), values, GridKind.INTENSITY_A)
+    return GridPattern((0.0, 1.0, 0.0, 1.0), values, GridKind.INTENSITY_A)
 
 
 def test_export_pgm_matches_whole_array_normalization(tmp_path, table2, set_cpus):
@@ -1088,9 +1096,9 @@ def test_export_pgm_matches_whole_array_normalization(tmp_path, table2, set_cpus
         set_cpus(cpus)
         patterns = list(evaluate_patterns(config, poly, grid=(37, 23)).values())
         partial = evaluate_patterns(config, poly, grid=(BLOCK_NX, 2 * BLOCK + 1))
-        assert partial[GridKind.SUPERPOSED].ny % BLOCK == 1
+        assert partial[GridKind.SUPERPOSED].values.shape[0] % BLOCK == 1
         patterns += list(partial.values())
-        patterns.append(GridPattern(5, 3, (0.0, 1.0, 0.0, 1.0), np.zeros((3, 5)),
+        patterns.append(GridPattern((0.0, 1.0, 0.0, 1.0), np.zeros((3, 5)),
                                     GridKind.CLASSICAL_AVERAGE))
         patterns.append(_ulp_pattern())
         patterns.append(_half_level_pattern())
@@ -1115,8 +1123,7 @@ def test_pgm_sidecar_bounds_keep_the_whole_array_zero_sign(tmp_path, bound, firs
     values = np.full((2 * BLOCK + 1, BLOCK_NX), rest)
     values[1, columns[0]] = first
     values[BLOCK + 1, columns[1]] = -first
-    pattern = GridPattern(BLOCK_NX, 2 * BLOCK + 1, (0.0, 1.0, 0.0, 1.0), values,
-                          GridKind.SUPERPOSED)
+    pattern = GridPattern((0.0, 1.0, 0.0, 1.0), values, GridKind.SUPERPOSED)
     path = tmp_path / "zeros.pgm"
     export_grid(pattern, str(path), fmt="pgm")
     assert path.read_bytes() == _pgm_reference(pattern)
