@@ -102,6 +102,9 @@ def _calls(inputs: Path) -> list:
         ["wavefield", *table2, "--grid", "2048x2048"],
         # the largest muB ties the largest muA: the width fit has no B anchor
         ["wavefield", "--input", str(inputs / "exemplars-tied-peak.csv")],
+        # 9,000 rows of classicality text: two whole 4096-row text blocks and
+        # a partial third
+        ["classicality", "--input", str(inputs / "membership-9000.csv")],
     ]
 
 
@@ -144,6 +147,7 @@ def main(root: str) -> None:
         membership = workloads.membership_csv(1, 2000)[0]
         (inputs / "membership.csv").write_bytes(membership)
         (inputs / "membership-bom.csv").write_bytes(b"\xef\xbb\xbf" + membership)
+        (inputs / "membership-9000.csv").write_bytes(workloads.membership_csv(1, 9000)[0])
         # the same table with a quoted name and a comment line after the
         # header, read row by row, and with one weight out of range, which
         # fails the comma split's check and then the row loop's
