@@ -52,7 +52,7 @@ def _out_dir(args) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-ROWS_PER_CHUNK = 4096       # list elements per chunk of streamed JSON and CSV text
+ROWS_PER_CHUNK = 4096       # rows per chunk of streamed JSON and CSV text
 
 
 def _json_pieces(obj, encoded=()):
@@ -74,14 +74,6 @@ def _json_pieces(obj, encoded=()):
     yield "{}" if sep == "{\n  " else "\n}"
 
 
-def _join_chunks(sep, texts):
-    """``sep.join`` of each run of up to ROWS_PER_CHUNK consecutive texts,
-    none of which may be empty."""
-    texts = iter(texts)
-    while chunk := sep.join(itertools.islice(texts, ROWS_PER_CHUNK)):
-        yield chunk
-
-
 def _gather(texts, codes) -> list:
     """``texts[c]`` for each code ``c``."""
     return np.array(texts, dtype=object)[np.asarray(codes, dtype=np.intp)].tolist()
@@ -101,28 +93,38 @@ def _json_float_column(col) -> list:
     return _gather(list(map(encode, bits.view(np.float64).tolist())), inverse)
 
 
-def _json_list(texts):
+def _interleave(seps, columns, first):
+    """Yield the text of each block of ROWS_PER_CHUNK rows, row i being
+    ``seps[0] + columns[0][i] + ... + seps[-1] + columns[-1][i]``, with ``first``
+    for the first row's ``seps[0]``. Each block interleaves the columns' slices
+    with the separators in one list and joins it once: no per-row template."""
+    k, n = len(columns), len(columns[0])
+    for start in range(0, n, ROWS_PER_CHUNK):
+        m = min(ROWS_PER_CHUNK, n - start)
+        buf = [None] * (2 * k * m)
+        for j, (sep, col) in enumerate(zip(seps, columns)):
+            buf[2 * j::2 * k] = [sep] * m
+            buf[2 * j + 1::2 * k] = col[start:start + m]
+        if not start:
+            buf[0] = first
+        yield "".join(buf)
+
+
+def _json_list(columns, seps=("",), end=""):
     """Yield ``json.dumps`` of a list at indent 0 in chunks of ROWS_PER_CHUNK
-    elements, given each element's JSON text as it sits in the list."""
-    opened = False
-    for chunk in _join_chunks(",\n  ", texts):
-        yield ",\n  " if opened else "[\n  "
-        yield chunk
-        opened = True
-    yield "\n]" if opened else "[]"
+    elements (see ``_interleave``), where element i has the JSON text
+    ``seps[0] + columns[0][i] + ... + seps[-1] + columns[-1][i] + end``."""
+    yield from _interleave([f"{end},\n  {seps[0]}", *seps[1:]], columns, "[\n  " + seps[0])
+    yield end + "\n]" if columns[0] else "[]"
 
 
 def _json_rows(columns: dict):
     """Yield ``json.dumps`` of a list of dicts in chunks (see ``_json_list``),
-    given each key's column of encoded values.
-
-    Every row is formatted through one %-template holding the keys in
-    sort_keys order, so no per-row encoder runs.
-    """
+    given each key's column of encoded values; no per-row encoder runs."""
     keys = sorted(columns)
-    template = "{\n" + ",\n".join(
-        f"    {_encode_str(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    return _json_list(map(template.__mod__, zip(*(columns[key] for key in keys))))
+    seps = [f",\n    {_encode_str(key)}: " for key in keys]
+    seps[0] = "{" + seps[0][1:]
+    return _json_list([columns[key] for key in keys], seps, "\n  }")
 
 
 def _write_manifest(argv, args, out, name, parameters, outputs) -> dict:
@@ -199,15 +201,15 @@ def _cmd_classicality(args, argv):
     wavefield.atomic_write(os.path.join(out, json_name),
                            itertools.chain(map(str.encode, rows_json), [b"\n"]))
     # the weights are validated finite, so their JSON text is also their repr
-    csv_lines = map(("%s," * 11 + "%s\n").__mod__, zip(
+    csv_columns = [
         *(_gather(names_csv, c) for c in (table.exemplar, table.concept_a, table.concept_b)),
         columns["muA"], columns["muB"], columns["muJoint"],
         _gather(["or", "and"], table.is_and), columns["delta"], columns["k"], columns["f"],
-        columns["classical"], _gather(ext_names, diag.extension_code)))
+        columns["classical"], _gather([e + "\n" for e in ext_names], diag.extension_code)]
     header = ("exemplar,conceptA,conceptB,muA,muB,muJoint,connective,"
               "delta,k,f,classical,extension_class\n")
-    wavefield.atomic_write(os.path.join(out, csv_name),
-                           map(str.encode, itertools.chain([header], _join_chunks("", csv_lines))))
+    wavefield.atomic_write(os.path.join(out, csv_name), map(str.encode, itertools.chain(
+        [header], _interleave(["", *[","] * 11], csv_columns, ""))))
     manifest = _write_manifest(argv, args, out, "classicality_manifest.json",
                                {"slack": classicality.ZERO_SLACK}, [json_name, csv_name])
 
@@ -301,7 +303,8 @@ def _cmd_chsh(args, argv):
             *map(_sig, result.expectations.values())),
         f"s = E(A',B') + E(A',B) + E(A,B') - E(A,B) = {_sig(result.s)}",
         f"classification: {result.classification.value} "
-        f"(classical bound 2, quantum bound {_sig(entanglement.tsirelson_bound())})",
+        f"(classical bound {_sig(entanglement.local_deterministic_bound())},"
+        f" quantum bound {_sig(entanglement.tsirelson_bound())})",
     ]
     for d in diagnostics:
         note = "" if d["count_total"] is None else f" (from {int(d['count_total'])} counts)"
@@ -342,13 +345,12 @@ def _cmd_disjunction_model(args, argv):
         "norm_deviation_b": model.norm_deviation_b,
         "max_abs_prediction_error": float(errors.max()),
     }
-    encoded = {"rows": rows_json, "c": _json_list(["1.0"] * len(rows))}
+    encoded = {"rows": rows_json, "c": _json_list([["1.0"] * len(rows)])}
     if args.emit_vectors:
-        # each vector is a list of [re, im] pairs, encoded as _json_rows encodes rows
-        pair = "[\n    %s,\n    %s\n  ]"
+        # each vector is a list of [re, im] pairs
         encoded["vectors"] = _json_pieces({}, {
-            label: _json_list(map(pair.__mod__, zip(
-                _json_float_column(vec.real), _json_float_column(vec.imag))))
+            label: _json_list([_json_float_column(vec.real), _json_float_column(vec.imag)],
+                              ["[\n    ", ",\n    "], "\n  ]")
             for label, vec in (("A", model.vector_a), ("B", model.vector_b))})
 
     def human():

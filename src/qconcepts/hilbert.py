@@ -170,6 +170,8 @@ def schmidt_rank(state, dims) -> int:
     comps = state.components if isinstance(state, StateVector) else _as_complex_array(state)
     if comps.size != da * db:
         raise DimensionMismatch(f"state dim {comps.size} != {da}*{db}")
+    if not np.isfinite(comps).all():
+        raise ModelError("state components must be finite")
     s = np.linalg.svd(comps.reshape(da, db), compute_uv=False)
     return int(np.sum(s > STRUCTURAL_TOL))
 

@@ -635,6 +635,8 @@ def export_grid(pattern: GridPattern, path: str, fmt: str):
     normalization bounds in a sidecar JSON next to it.
     Writes go to a temp file first and are renamed into place.
     """
+    if np.ndim(pattern.values) != 2:
+        raise ModelError(f"grid values must be 2-d, got shape {np.shape(pattern.values)}")
     ny, nx = pattern.values.shape
     if fmt == "csv":
         axes = np.linspace(*pattern.extent[:2], nx), np.linspace(*pattern.extent[2:], ny)

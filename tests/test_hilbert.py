@@ -1,6 +1,8 @@
 """State vectors, projectors, Born rule, tensors, spectral families."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,16 @@ def test_schmidt_rank_product_and_entangled():
 def test_schmidt_rank_dimension_check():
     with pytest.raises(ModelError):
         schmidt_rank(StateVector([1.0, 0.0]), (2, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_schmidt_rank_refuses_non_finite_components(bad):
+    # numpy's SVD would raise LinAlgError (not a ModelError) on these
+    state = np.array([bad, 0.0, 0.0, 1.0])
+    with pytest.raises(ModelError, match="finite"):
+        schmidt_rank(state, (2, 2))
+    with pytest.raises(ModelError, match="finite"):
+        schmidt_rank(StateVector(state, normalized=False), (2, 2))
 
 
 # ------------------------------------------------------------- spectral families

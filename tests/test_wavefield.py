@@ -1154,6 +1154,15 @@ def test_export_rejects_unknown_format(tmp_path, table2):
         export_grid(pattern, str(tmp_path / "x.bin"), fmt="npz")
 
 
+@pytest.mark.parametrize("fmt", ["pgm", "csv"])
+@pytest.mark.parametrize("values", [np.zeros(4), np.zeros((2, 2, 2)), np.float64(0.0)])
+def test_export_refuses_values_that_are_not_2d(tmp_path, fmt, values):
+    pattern = wavefield.GridPattern((0.0, 1.0, 0.0, 1.0), values, GridKind.SUPERPOSED)
+    with pytest.raises(ModelError, match="2-d"):
+        export_grid(pattern, str(tmp_path / f"x.{fmt}"), fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_is_byte_identical_across_runs(tmp_path, table2):
     _, config, _, poly = table2
     pattern = evaluate_patterns(config, poly, grid=(32, 32))[GridKind.SUPERPOSED]
